@@ -6,7 +6,7 @@ from .data_io import load_cube, normalize_cube, save_abundance_maps, synth_scene
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix, SynthSpec
 from .evaluation import EvalReport, evaluate, match_endmembers, rmse_metric, sad_metric
 from .initializers import InitResult, dmaxd, vca
-from .net import EndNetModel, HyperParams, forward, forward_batch, loss, sad_similarity
+from .net import EndNetModel, HyperParams, forward, forward_batch, loss
 from .trainer import TrainConfig, TrainLog, adam_step, corrupt, train
 
 __all__ = [
@@ -15,8 +15,7 @@ __all__ = [
     "adam_step", "corrupt", "dmaxd", "estimate_abundances", "evaluate",
     "fcls", "forward", "forward_batch", "hidden_abundances", "load_cube",
     "loss", "match_endmembers", "normalize_cube", "rmse_metric",
-    "sad_metric", "sad_similarity", "save_abundance_maps", "spu_abundances",
-    "spu_sad",
+    "sad_metric", "save_abundance_maps", "spu_abundances", "spu_sad",
     "synth_scene", "train", "vca",
 ]
 

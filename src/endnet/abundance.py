@@ -14,32 +14,28 @@ import numpy as np
 
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix
 from .errors import DegenerateSimplex
-from .net import HyperParams, forward_batch
+from .net import HyperParams, angle, forward_batch
 
 log = logging.getLogger(__name__)
 
 _NEG_TOL = -1e-10
-
-
-def _sad_kernel(A, B, theta_clip=1e-7):
-    """Similarity matrix C(a_i, b_j) between rows of A and rows of B."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    an = np.linalg.norm(A, axis=1)
-    bn = np.linalg.norm(B, axis=1)
-    if (an == 0.0).any() or (bn == 0.0).any():
-        raise ValueError("zero-norm spectrum in similarity kernel")
-    raw = (A @ B.T) / np.outer(an, bn)
-    theta = np.clip(raw, -1.0 + theta_clip, 1.0 - theta_clip)
-    return 1.0 - np.arccos(theta) / np.pi
+_THETA_CLIP = 1e-7  # the network's default cosine clamp
 
 
 def _pairwise_d2(spectra, pixel, kernel):
-    """Squared feature-space distances among endmembers and to the pixel."""
+    """Squared feature-space distances among endmembers and to the pixel.
+
+    With ``kernel='sad'``, angularly coincident endmembers raise
+    DegenerateSimplex: they collapse the feature-space simplex.
+    """
     if kernel == "sad":
-        c_ee = _sad_kernel(spectra, spectra)
-        c_ep = _sad_kernel(spectra, pixel[None, :])[:, 0]
-        d2_ee = 2.0 - 2.0 * c_ee
+        ee = angle(spectra, spectra, _THETA_CLIP)
+        cos = ee.cos.copy()
+        np.fill_diagonal(cos, 0.0)
+        if cos.max() >= 1.0 - 1e-9:
+            raise DegenerateSimplex("angularly coincident endmembers")
+        c_ep = angle(spectra, pixel[None, :], _THETA_CLIP).similarity[:, 0]
+        d2_ee = 2.0 - 2.0 * ee.similarity
         np.fill_diagonal(d2_ee, 0.0)
         d2_ep = 2.0 - 2.0 * c_ep
     elif kernel == "l2":
@@ -108,13 +104,6 @@ def spu_sad(pixel, endmembers: SpectraMatrix, eps=1e-8, kernel="sad"):
     if k < 2:
         raise ValueError("simplex projection needs at least two endmembers")
     pixel = np.asarray(pixel, dtype=np.float64)
-    if kernel == "sad":
-        # angularly coincident endmembers collapse the feature-space simplex
-        en = np.linalg.norm(E, axis=1)
-        raw = (E @ E.T) / np.outer(en, en)
-        np.fill_diagonal(raw, 0.0)
-        if raw.max() >= 1.0 - 1e-9:
-            raise DegenerateSimplex("angularly coincident endmembers")
     d2_ee, d2_ep = _pairwise_d2(E, pixel, kernel)
     return simplex_project(d2_ee, d2_ep, k)
 
@@ -153,7 +142,7 @@ def fcls(pixel, endmembers):
         a[idx] = np.maximum(a_free, 0.0)
         # KKT multipliers of the clamped variables must be nonnegative
         grad = 2.0 * (gram @ a - ex)
-        mu = grad - lam
+        mu = grad + lam
         clamped = np.flatnonzero(~free)
         if clamped.size and mu[clamped].min() < -1e-9:
             free[clamped[int(np.argmin(mu[clamped]))]] = True

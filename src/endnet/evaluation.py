@@ -9,16 +9,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datatypes import AbundanceMap, SpectraMatrix
+from .net import angle
 
 
 def sad_metric(e, e_hat):
     """Spectral angle between two signatures, in radians (scale-invariant)."""
-    e = np.asarray(e, dtype=np.float64)
-    e_hat = np.asarray(e_hat, dtype=np.float64)
-    ne, nh = np.linalg.norm(e), np.linalg.norm(e_hat)
-    if ne == 0.0 or nh == 0.0:
-        raise ValueError("sad_metric requires nonzero-norm inputs")
-    return float(np.arccos(np.clip(np.dot(e, e_hat) / (ne * nh), -1.0, 1.0)))
+    return float(angle(np.atleast_2d(e), np.atleast_2d(e_hat), 0.0).s[0, 0])
 
 
 def rmse_metric(y, y_hat):
@@ -30,12 +26,21 @@ def rmse_metric(y, y_hat):
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
-def _sad_cost(estimated, truth):
-    cost = np.empty((estimated.count, truth.count))
-    for i in range(estimated.count):
-        for j in range(truth.count):
-            cost[i, j] = sad_metric(estimated.rows[i], truth.rows[j])
-    return cost
+def _assign(cost, greedy):
+    """One-to-one row -> column assignment over an angle cost matrix."""
+    if cost.shape[0] < cost.shape[1]:
+        raise ValueError("need at least as many estimates as ground-truth rows")
+    if greedy:
+        assignment = {}
+        taken = set()
+        for j in range(cost.shape[1]):
+            order = np.argsort(cost[:, j])
+            i = next(int(i) for i in order if int(i) not in taken)
+            taken.add(i)
+            assignment[i] = j
+        return assignment
+    rows, cols = linear_sum_assignment(cost)
+    return {int(i): int(j) for i, j in zip(rows, cols)}
 
 
 def match_endmembers(estimated: SpectraMatrix, truth: SpectraMatrix, greedy=False):
@@ -45,20 +50,7 @@ def match_endmembers(estimated: SpectraMatrix, truth: SpectraMatrix, greedy=Fals
     indices).  ``greedy=True`` matches each ground truth to its most
     similar remaining estimate instead.
     """
-    if estimated.count < truth.count:
-        raise ValueError("need at least as many estimates as ground-truth rows")
-    cost = _sad_cost(estimated, truth)
-    if greedy:
-        assignment = {}
-        taken = set()
-        for j in range(truth.count):
-            order = np.argsort(cost[:, j])
-            i = next(int(i) for i in order if int(i) not in taken)
-            taken.add(i)
-            assignment[i] = j
-        return assignment
-    rows, cols = linear_sum_assignment(cost)
-    return {int(i): int(j) for i, j in zip(rows, cols)}
+    return _assign(angle(estimated.rows, truth.rows, 0.0).s, greedy)
 
 
 @dataclass
@@ -112,9 +104,10 @@ def evaluate(estimated: SpectraMatrix, gt_spectra: SpectraMatrix,
     """
     if estimated.bands != gt_spectra.bands:
         raise ValueError("band count mismatch between estimates and ground truth")
-    assignment = match_endmembers(estimated, gt_spectra, greedy=greedy)
+    cost = angle(estimated.rows, gt_spectra.rows, 0.0).s
+    assignment = _assign(cost, greedy)
     pairs = sorted(assignment.items(), key=lambda kv: kv[1])
-    sads = [sad_metric(estimated.rows[i], gt_spectra.rows[j]) for i, j in pairs]
+    sads = [float(cost[i, j]) for i, j in pairs]
 
     rmses = None
     if abundances is not None and gt_abundances is not None:

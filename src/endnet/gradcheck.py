@@ -40,19 +40,33 @@ def _central_diff(f, arr, step=FD_STEP):
 
 
 def check_sad(rng, d=None):
-    """FD check of the similarity gradient w.r.t. the filter row."""
+    """FD check of the angle backward that both similarity terms of the loss use.
+
+    Every-pair mode (samples against encoder filters) and paired mode
+    (targets against reconstructions), each under a random upstream gradient.
+    """
     d = d or int(rng.integers(5, 21))
-    while True:
-        x = rng.uniform(0.1, 1.0, d)
-        w = rng.uniform(0.1, 1.0, d) + rng.normal(0.0, 0.3, d)
-        if np.linalg.norm(w) < 1e-3:
-            continue
-        theta, _, _ = net.sad_similarity(x, w)
-        if abs(theta) < 1.0 - 1e-3:
-            break
-    analytic = net.sad_similarity_grad(x, w)
-    fd = _central_diff(lambda: net.sad_similarity(x, w)[2], w)
-    return rel_error(analytic, fd)
+    theta_clip = net.HyperParams().theta_clip
+    worst = 0.0
+    for paired in (False, True):
+        n = int(rng.integers(2, 4))
+        k = n if paired else int(rng.integers(2, 4))
+        while True:
+            A = rng.uniform(0.1, 1.0, (n, d))
+            B = rng.uniform(0.1, 1.0, (k, d)) + rng.normal(0.0, 0.3, (k, d))
+            if np.linalg.norm(B, axis=1).min() < 1e-3:
+                continue
+            ang = net.angle(A, B, theta_clip, paired)
+            if np.abs(ang.theta).max() < 1.0 - 1e-3:
+                break
+        G = rng.normal(0.0, 1.0, ang.s.shape)
+
+        def value():
+            return float(np.sum(G * net.angle(A, B, theta_clip, paired).similarity))
+
+        analytic = net.angle_backward(ang, G)
+        worst = max(worst, rel_error(analytic, _central_diff(value, B)))
+    return worst
 
 
 def check_batchnorm(rng, n=None, k=None):
@@ -116,7 +130,7 @@ def _random_instance(rng, d, k, n, hyper):
         trace = net.forward_batch(model, X, hyper, mode="train")
         if np.abs(trace.bn_out).min() < KINK_MARGIN:
             continue
-        if np.abs(trace.theta).max() > 1.0 - 1e-3:
+        if np.abs(trace.angle.theta).max() > 1.0 - 1e-3:
             continue
         if hyper.top_n < k:
             zs = -np.sort(-trace.z, axis=1)
@@ -124,6 +138,7 @@ def _random_instance(rng, d, k, n, hyper):
                 continue
         if trace.z_star_sum.min() < 1e-3:
             continue
+        net.loss_value(trace, model, hyper, X)  # fills trace.c_recon
         if trace.c_recon.min() < 0.02 or trace.c_recon.max() > 1.0 - 1e-3:
             continue
         return model, X

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,64 +131,86 @@ class EndNetModel:
         return model
 
 
+class Angle(NamedTuple):
+    """Spectral angles between the rows of ``a`` and ``b``, kept for the backward."""
+
+    a: np.ndarray
+    b: np.ndarray
+    a_norm: np.ndarray
+    b_norm: np.ndarray
+    dot: np.ndarray       # inner products
+    cos: np.ndarray       # cosines
+    theta: np.ndarray     # cosines clamped to +-(1 - theta_clip)
+    clipped: np.ndarray   # bool mask where the clamp engaged
+    s: np.ndarray         # angles in [0, pi]
+
+    @property
+    def similarity(self):
+        """The score C = 1 - s/pi in [0, 1] that the encoder and SPU use."""
+        return 1.0 - self.s / np.pi
+
+
+def angle(A, B, theta_clip, paired=False):
+    """Spectral angles between the rows of A and the rows of B.
+
+    Every row of A against every row of B (an N x K result) by default;
+    ``paired=True`` takes row i of A with row i of B.  The cosine is
+    clamped to +-(1 - theta_clip), where the angle still has a finite slope.
+    Every-pair mode rejects a zero-norm row; paired mode gives a zero-norm
+    row of B (a dead reconstruction) the cosine 0.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    a_norm = np.linalg.norm(A, axis=1)
+    b_norm = np.linalg.norm(B, axis=1)
+    if paired:
+        dot = np.einsum("ij,ij->i", A, B)
+        cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
+    else:
+        if not (a_norm.all() and b_norm.all()):
+            raise ValueError("a zero-norm spectrum has no angle")
+        dot = A @ B.T
+        cos = dot / np.outer(a_norm, b_norm)
+    clipped = np.abs(cos) >= 1.0 - theta_clip
+    theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
+    return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta))
+
+
+def angle_backward(ang, d_c):
+    """Gradient w.r.t. the rows of ``ang.b``, given d_c = d loss / d ``ang.similarity``.
+
+    Nothing passes where the clamp engaged.  In every-pair mode each row of
+    B sums the contributions of all rows of A.
+    """
+    # (dC/dS)(dS/dtheta) = (-1/pi)(-1/sqrt(1-theta^2))
+    coef = np.where(ang.clipped, 0.0, d_c / (np.pi * np.sqrt(1.0 - ang.theta ** 2)))
+    if ang.dot.ndim == 1:
+        bn = np.where(ang.b_norm > 0.0, ang.b_norm, 1.0)
+        return coef[:, None] * (ang.a / (bn * ang.a_norm)[:, None]
+                                - ang.b * (ang.dot / (bn ** 3 * ang.a_norm))[:, None])
+    a = coef / np.outer(ang.a_norm, ang.b_norm)
+    b = coef * ang.dot / np.outer(ang.a_norm, ang.b_norm ** 3)
+    return a.T @ ang.a - b.sum(axis=0)[:, None] * ang.b
+
+
 @dataclass
 class ForwardTrace:
     """Per-batch intermediates retained for the backward pass."""
 
-    x_in: np.ndarray          # forward input (possibly corrupted), N x D
-    x_norm: np.ndarray        # row norms of x_in
-    w_norm: np.ndarray        # row norms of w_enc at forward time
-    dot: np.ndarray           # raw inner products x . w_k, N x K
-    theta: np.ndarray         # clamped cosines, N x K
-    theta_clipped: np.ndarray  # bool mask where the clamp engaged
+    angle: Angle              # forward input (possibly corrupted) vs w_enc, N x K
     h: np.ndarray             # similarity scores C in [0,1], N x K
     bn_mean: np.ndarray
     bn_var: np.ndarray
     bn_centered: np.ndarray   # (h - mean) / std, N x K
     bn_out: np.ndarray
-    relu_mask: np.ndarray
     dropout_mask: np.ndarray  # r in {0, 1/p}
     z: np.ndarray
-    topn_mask: np.ndarray
     z_star: np.ndarray
     z_star_sum: np.ndarray    # l1 mass per sample
     y: np.ndarray
     x_hat: np.ndarray
     mode: str = "train"
-    c_recon: np.ndarray | None = None  # C(x_in, x_hat) per sample
-
-
-def sad_similarity(x, w, theta_clip=1e-7):
-    """Normalized spectral-angle similarity between two spectra.
-
-    Returns (theta, s, c): clamped cosine, angle in [0, pi], and the
-    similarity score c = 1 - s/pi in [0, 1].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    nx, nw = np.linalg.norm(x), np.linalg.norm(w)
-    if nx == 0.0 or nw == 0.0:
-        raise ValueError("sad_similarity requires nonzero-norm inputs")
-    theta = np.clip(np.dot(x, w) / (nx * nw), -1.0 + theta_clip, 1.0 - theta_clip)
-    s = np.arccos(theta)
-    return theta, s, 1.0 - s / np.pi
-
-
-def sad_similarity_grad(x, w, theta_clip=1e-7):
-    """d c / d w for the similarity above; zero where the cosine clamp engaged."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    nx, nw = np.linalg.norm(x), np.linalg.norm(w)
-    if nx == 0.0 or nw == 0.0:
-        raise ValueError("sad_similarity_grad requires nonzero-norm inputs")
-    raw = np.dot(x, w) / (nx * nw)
-    if abs(raw) >= 1.0 - theta_clip:
-        return np.zeros_like(w)
-    theta = raw
-    # (dC/dS)(dS/dtheta) = (-1/pi)(-1/sqrt(1-theta^2))
-    coef = 1.0 / (np.pi * np.sqrt(1.0 - theta * theta))
-    dtheta_dw = x / (nw * nx) - w * np.dot(w, x) / (nw ** 3 * nx)
-    return coef * dtheta_dw
+    c_recon: np.ndarray | None = None  # C(target, x_hat) per sample, set by the loss
 
 
 def batchnorm_forward(H, rho, eps=1e-8, mode="train", run_stats=None):
@@ -234,7 +257,7 @@ def relu_topn_l1(z_pre, dropout_mask, top_n, eps=1e-8):
     """
     z_pre = np.atleast_2d(np.asarray(z_pre, dtype=np.float64))
     r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), z_pre.shape)
-    z = r * np.maximum(z_pre, 0.0)
+    z = r * (z_pre * (z_pre > 0.0))
     mask = _topn_mask(z, top_n)
     z_star = z * mask
     s = z_star.sum(axis=1)
@@ -271,22 +294,6 @@ def l1norm_backward(d_y, z_star, y, eps=1e-8):
     return dz
 
 
-def _similarity_batch(X, W, theta_clip):
-    """Similarity scores of every row of X against every row of W."""
-    xn = np.linalg.norm(X, axis=1)
-    wn = np.linalg.norm(W, axis=1)
-    if (xn == 0.0).any():
-        raise ValueError("zero-norm sample in batch")
-    if (wn == 0.0).any():
-        raise ValueError("zero-norm encoder filter")
-    dot = X @ W.T
-    raw = dot / np.outer(xn, wn)
-    clipped = np.abs(raw) >= 1.0 - theta_clip
-    theta = np.clip(raw, -1.0 + theta_clip, 1.0 - theta_clip)
-    c = 1.0 - np.arccos(theta) / np.pi
-    return xn, wn, dot, theta, clipped, c
-
-
 def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
     """Run the full encoder/decoder on an N x D batch; returns a ForwardTrace.
 
@@ -298,7 +305,8 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
         raise ValueError("band count mismatch between batch and model")
     hyper.validate(model.k)
 
-    xn, wn, dot, theta, clipped, h = _similarity_batch(X, model.w_enc, hyper.theta_clip)
+    enc = angle(X, model.w_enc, hyper.theta_clip)
+    h = enc.similarity
 
     if mode == "train":
         bn_out, mean, var, centered = batchnorm_forward(h, model.rho, hyper.eps, "train")
@@ -306,32 +314,22 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
         bn_out, mean, var, centered = batchnorm_forward(
             h, model.rho, hyper.eps, "infer", (model.run_mean, model.run_var))
 
-    relu_mask = bn_out > 0.0
-    f = bn_out * relu_mask
-
     if dropout_mask is not None:
-        r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), f.shape)
+        r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), bn_out.shape)
     elif mode == "train" and hyper.dropout_p < 1.0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        r = (rng.random(f.shape) < hyper.dropout_p) / hyper.dropout_p
+        r = (rng.random(bn_out.shape) < hyper.dropout_p) / hyper.dropout_p
     else:
-        r = np.ones_like(f)
+        r = np.ones_like(bn_out)
 
-    z = r * f
-    topn = _topn_mask(z, hyper.top_n)
-    z_star = z * topn
-    s = z_star.sum(axis=1)
-    y = z_star / (s + hyper.eps)[:, None]
+    z, z_star, y = relu_topn_l1(bn_out, r, hyper.top_n, hyper.eps)
     x_hat = y @ model.w_dec.T
 
-    trace = ForwardTrace(
-        x_in=X, x_norm=xn, w_norm=wn, dot=dot, theta=theta, theta_clipped=clipped,
-        h=h, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
-        relu_mask=relu_mask, dropout_mask=r, z=z, topn_mask=topn, z_star=z_star,
-        z_star_sum=s, y=y, x_hat=x_hat, mode=mode)
-    trace.c_recon = _recon_similarity(X, x_hat, hyper.theta_clip)[0]
-    return trace
+    return ForwardTrace(
+        angle=enc, h=h, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
+        dropout_mask=r, z=z, z_star=z_star, z_star_sum=z_star.sum(axis=1), y=y,
+        x_hat=x_hat, mode=mode)
 
 
 def forward(model, x, hyper, mode="infer", rng=None):
@@ -339,20 +337,6 @@ def forward(model, x, hyper, mode="infer", rng=None):
     if mode == "train":
         raise ValueError("train-mode forward needs a batch of at least two samples")
     return forward_batch(model, np.atleast_2d(x), hyper, mode=mode, rng=rng)
-
-
-def _recon_similarity(X, x_hat, theta_clip):
-    """C(x, x_hat) per sample; defined as 0 where the reconstruction is zero."""
-    xn = np.linalg.norm(X, axis=1)
-    hn = np.linalg.norm(x_hat, axis=1)
-    ok = hn > 0.0
-    dot = np.einsum("ij,ij->i", X, x_hat)
-    denom = np.where(ok, xn * hn, 1.0)
-    raw = dot / denom
-    clipped = np.abs(raw) >= 1.0 - theta_clip
-    theta = np.clip(raw, -1.0 + theta_clip, 1.0 - theta_clip)
-    c = np.where(ok, 1.0 - np.arccos(theta) / np.pi, 0.0)
-    return c, theta, clipped, ok, xn, hn
 
 
 def loss_value(trace, model, hyper, target):
@@ -364,7 +348,9 @@ def loss(trace, model, hyper, target):
     """Composite loss and analytic gradients for w_enc, rho, w_dec.
 
     ``target`` is the uncorrupted batch the reconstruction terms compare
-    against (the forward pass may have seen a corrupted version).
+    against (the forward pass may have seen a corrupted version).  Both
+    this and ``loss_value`` store the per-sample C(target, x_hat) in
+    ``trace.c_recon``.
     """
     return _loss_impl(trace, model, hyper, target, want_grads=True)
 
@@ -375,7 +361,12 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     x_hat = trace.x_hat
     diff = x_hat - X_clean
 
-    c, theta_r, clip_r, ok, xn_c, hn = _recon_similarity(X_clean, x_hat, hyper.theta_clip)
+    # the angular term compares against the clean target; a zero
+    # reconstruction has similarity 0
+    recon_angle = angle(X_clean, x_hat, hyper.theta_clip, paired=True)
+    ok = recon_angle.b_norm > 0.0
+    c = np.where(ok, recon_angle.similarity, 0.0)
+    trace.c_recon = c
 
     recon = hyper.lambda0 * 0.5 * np.sum(diff * diff) / n
     kl = hyper.lambda1 * np.mean(-np.log(c + hyper.eps))
@@ -390,23 +381,17 @@ def _loss_impl(trace, model, hyper, target, want_grads):
         return total, None
 
     # d total / d x_hat: euclidean term + KL term through the angle chain
-    d_xhat = hyper.lambda0 * diff / n
-    dkl_dc = -hyper.lambda1 / (n * (c + hyper.eps))
-    live = ok & ~clip_r
-    coef = np.where(live, dkl_dc / (np.pi * np.sqrt(1.0 - theta_r ** 2)), 0.0)
-    hn_safe = np.where(ok, hn, 1.0)
-    dots = np.einsum("ij,ij->i", X_clean, x_hat)
-    d_xhat = d_xhat + coef[:, None] * (
-        X_clean / (hn_safe * xn_c)[:, None]
-        - x_hat * (dots / (hn_safe ** 3 * xn_c))[:, None])
+    dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + hyper.eps)), 0.0)
+    d_xhat = hyper.lambda0 * diff / n + angle_backward(recon_angle, dkl_dc)
 
     d_wdec = d_xhat.T @ trace.y + 2.0 * hyper.lambda4 * model.w_dec
     d_y = d_xhat @ model.w_dec
 
+    # l1norm_backward is already zero off the top-n support
     dz_star = l1norm_backward(d_y, trace.z_star, trace.y, hyper.eps)
-    dz = dz_star * trace.topn_mask + (hyper.lambda2 / n) * (trace.z > 0.0)
+    dz = dz_star + (hyper.lambda2 / n) * (trace.z > 0.0)
     df = dz * trace.dropout_mask
-    d_bn = df * trace.relu_mask
+    d_bn = df * (trace.bn_out > 0.0)
 
     if trace.mode == "train":
         d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered, hyper.eps)
@@ -414,14 +399,7 @@ def _loss_impl(trace, model, hyper, target, want_grads):
         d_h = d_bn / np.sqrt(model.run_var + hyper.eps)
         g_sum = d_bn.sum(axis=0)
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
-
-    # similarity layer: route d_h into the encoder filter rows
-    live_enc = ~trace.theta_clipped
-    sad_coef = np.where(live_enc, d_h / (np.pi * np.sqrt(1.0 - trace.theta ** 2)), 0.0)
-    a = sad_coef / np.outer(trace.x_norm, trace.w_norm)
-    b = sad_coef * trace.dot / np.outer(trace.x_norm, trace.w_norm ** 3)
-    d_wenc = a.T @ trace.x_in - b.sum(axis=0)[:, None] * model.w_enc
-    d_wenc = d_wenc + 2.0 * hyper.lambda3 * model.w_enc
+    d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 
     grads = {"w_enc": d_wenc, "rho": d_rho, "w_dec": d_wdec}
     for g in grads.values():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from endnet import (EndNetModel, SpectraMatrix, estimate_abundances, fcls,
                     hidden_abundances, spu_abundances, spu_sad)
@@ -122,6 +123,23 @@ def test_fcls_rank_deficient():
     E = np.vstack([_random_endmembers(1, 10, 10)] * 3)
     with pytest.raises(DegenerateSimplex):
         fcls(E[0], E)
+
+
+def _fcls_by_nnls(x, E, weight=1e5):
+    """FCLS as NNLS with a heavily weighted sum-to-one row appended."""
+    A = np.vstack([E.T, np.full((1, E.shape[0]), weight)])
+    a, _ = nnls(A, np.append(x, weight))
+    return a
+
+
+def test_fcls_matches_nnls_on_acceptance_scene(noisy_scene):
+    # most of these pixels clamp a variable at the optimum, so the sign of
+    # the clamped variables' KKT multiplier decides whether the active set
+    # settles or cycles
+    cube, endm, _ = noisy_scene
+    for x in cube.data[:200]:
+        np.testing.assert_allclose(fcls(x, endm.rows), _fcls_by_nnls(x, endm.rows),
+                                   atol=1e-8)
 
 
 def test_spu_l2_matches_fcls_in_simplex():

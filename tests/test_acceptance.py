@@ -12,9 +12,9 @@ import pytest
 
 from endnet import (EndNetModel, HyperParams, SpectraMatrix, TrainConfig,
                     dmaxd, evaluate, fcls, forward, forward_batch,
-                    sad_similarity, spu_abundances, spu_sad, train, vca)
-from endnet.abundance import _sad_kernel
+                    spu_abundances, spu_sad, train, vca)
 from endnet.gradcheck import run_all
+from endnet.net import angle
 
 from conftest import TRAIN_SEED
 
@@ -109,8 +109,8 @@ def test_criterion_4_oracle_agreement(announce):
         x = rng.dirichlet(np.ones(3)) @ E + rng.normal(0, 0.01, 25)
         x = np.clip(x, 1e-4, None)
         a = spu_sad(x, E, kernel="sad")
-        K_ee = _sad_kernel(E, E)
-        k_ex = _sad_kernel(E, x[None, :])[:, 0]
+        K_ee = angle(E, E, 1e-7).similarity
+        k_ex = angle(E, x[None, :], 1e-7).similarity[:, 0]
         obj = np.einsum("ij,jk,ik->i", grid, K_ee, grid) - 2.0 * grid @ k_ex
         best = grid[int(np.argmin(obj))]
         worst_sad = max(worst_sad, np.abs(a - best).max())
@@ -155,7 +155,7 @@ def test_criterion_5_structural_invariants(small_scene, small_init, tmp_path,
     for _ in range(N_PROPERTY_CASES):
         x = rng.uniform(0.01, 1.0, int(rng.integers(3, 30)))
         w = rng.uniform(0.01, 1.0, x.size)
-        _, _, c = sad_similarity(x, w)
+        c = angle(x[None, :], w[None, :], 1e-7).similarity[0, 0]
         if not 0.0 <= c <= 1.0:
             failures.append("C range")
             break

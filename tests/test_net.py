@@ -3,46 +3,67 @@
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, forward, forward_batch, loss
+from endnet import EndNetModel, HyperParams, forward, forward_batch, loss, net
 from endnet.errors import NumericalDivergence
 from endnet.gradcheck import (check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
-from endnet.net import (batchnorm_backward, batchnorm_forward, l1norm_backward,
-                        loss_value, relu_topn_l1, sad_similarity,
-                        sad_similarity_grad)
+from endnet.net import (angle, angle_backward, batchnorm_backward,
+                        batchnorm_forward, l1norm_backward, loss_value,
+                        relu_topn_l1)
+
+THETA_CLIP = HyperParams().theta_clip
 
 
 # --- similarity layer -------------------------------------------------------
 
+def _pair(x, w, paired=False):
+    """The angle between two spectra, every-pair or row-paired."""
+    return angle(np.atleast_2d(x), np.atleast_2d(w), THETA_CLIP, paired)
+
+
 def test_sad_similarity_scaled_copy():
     x = np.array([0.2, 0.5, 0.9])
-    theta, s, c = sad_similarity(x, 2.0 * x)
-    # the clamp keeps theta at 1 - theta_clip, leaving O(sqrt(clip)) angle
-    assert c > 1.0 - 1e-3 and s < 1e-3
+    for paired in (False, True):
+        ang = _pair(x, 2.0 * x, paired)
+        # the clamp keeps theta at 1 - theta_clip, leaving O(sqrt(clip)) angle
+        assert ang.clipped.all()
+        assert ang.similarity.min() > 1.0 - 1e-3 and ang.s.max() < 1e-3
 
 
 def test_sad_similarity_orthogonal():
-    _, s, c = sad_similarity([1.0, 0.0], [0.0, 1.0])
-    assert abs(s - np.pi / 2) < 1e-12
-    assert abs(c - 0.5) < 1e-12
+    for paired in (False, True):
+        ang = _pair([1.0, 0.0], [0.0, 1.0], paired)
+        assert np.abs(ang.s - np.pi / 2).max() < 1e-12
+        assert np.abs(ang.similarity - 0.5).max() < 1e-12
 
 
 def test_sad_similarity_antipodal():
     x = np.array([0.3, 0.7])
-    _, s, c = sad_similarity(x, -x)
-    assert s > np.pi - 1e-3 and c < 1e-3
+    for paired in (False, True):
+        ang = _pair(x, -x, paired)
+        assert ang.s.min() > np.pi - 1e-3 and ang.similarity.max() < 1e-3
 
 
 def test_sad_similarity_zero_norm():
     with pytest.raises(ValueError):
-        sad_similarity([0.0, 0.0], [1.0, 1.0])
+        _pair([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        sad_similarity_grad([1.0, 1.0], [0.0, 0.0])
+        _pair([1.0, 1.0], [0.0, 0.0])
+
+
+def test_angle_paired_zero_reconstruction():
+    # a dead reconstruction has cosine 0 and passes no gradient
+    ang = _pair([[0.2, 0.4], [0.5, 0.1]], [[0.0, 0.0], [0.3, 0.3]], paired=True)
+    assert ang.cos[0] == 0.0 and np.isfinite(ang.s).all()
+    g = angle_backward(ang, np.array([0.0, 1.0]))
+    assert np.isfinite(g).all() and (g[0] == 0.0).all()
 
 
 def test_sad_grad_zero_at_clamp():
     x = np.array([0.2, 0.4])
-    np.testing.assert_array_equal(sad_similarity_grad(x, 3.0 * x), 0.0)
+    for paired in (False, True):
+        ang = _pair(x, 3.0 * x, paired)
+        np.testing.assert_array_equal(angle_backward(ang, np.ones_like(ang.s)), 0.0)
 
 
 def test_sad_grad_orthogonal_to_w():
@@ -50,16 +71,40 @@ def test_sad_grad_orthogonal_to_w():
     for _ in range(20):
         x = rng.uniform(0.1, 1.0, 7)
         w = rng.uniform(0.1, 1.0, 7) + rng.normal(0, 0.3, 7)
-        g = sad_similarity_grad(x, w)
-        # the angle is invariant to scaling w, so the gradient has no
-        # component along w
-        assert abs(np.dot(g, w)) < 1e-10 * np.linalg.norm(g) * np.linalg.norm(w) + 1e-15
+        for paired in (False, True):
+            ang = _pair(x, w, paired)
+            g = angle_backward(ang, np.ones_like(ang.s))[0]
+            # the angle is invariant to scaling w, so the gradient has no
+            # component along w
+            assert abs(np.dot(g, w)) < 1e-10 * np.linalg.norm(g) * np.linalg.norm(w) + 1e-15
 
 
 def test_sad_grad_finite_difference():
     rng = np.random.default_rng(1)
     for _ in range(10):
         assert check_sad(rng) < 1e-6
+
+
+def test_check_sad_verifies_the_backward_loss_calls(monkeypatch):
+    """gradcheck's per-layer angle check and the training loss share one backward."""
+    calls = []
+    real = net.angle_backward
+
+    def spy(ang, d_c):
+        calls.append("paired" if ang.dot.ndim == 1 else "every-pair")
+        return real(ang, d_c)
+
+    monkeypatch.setattr(net, "angle_backward", spy)
+    check_sad(np.random.default_rng(0))
+    assert calls == ["every-pair", "paired"]
+    calls.clear()
+    rng = np.random.default_rng(1)
+    model = _toy_model(rng)
+    X = rng.uniform(0.1, 1.0, (4, 12))
+    trace = forward_batch(model, X, HyperParams(), mode="train")
+    loss(trace, model, HyperParams(), X)
+    # the reconstruction term first, then the encoder filters
+    assert calls == ["paired", "every-pair"]
 
 
 # --- batch normalization ----------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from endnet import TrainConfig, adam_step, corrupt, train
+from endnet import TrainConfig, adam_step, corrupt, train, trainer
 from endnet.errors import NumericalDivergence
 from endnet.trainer import AdamState
 
@@ -149,3 +149,36 @@ def test_train_log_csv(small_scene, small_init, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,loss,z_l1,recon_sad"
     assert len(lines) == len(log.iterations) + 1
+
+
+def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkeypatch):
+    cube, _, _ = small_scene
+    seen = []
+    real_forward, real_loss = trainer.forward_batch, trainer.loss
+
+    def forward_spy(model, X, *args, **kwargs):
+        seen.append(np.array(X))
+        return real_forward(model, X, *args, **kwargs)
+
+    def loss_spy(trace, model, hyper, target):
+        seen.append((trace, np.array(target)))
+        return real_loss(trace, model, hyper, target)
+
+    monkeypatch.setattr(trainer, "forward_batch", forward_spy)
+    monkeypatch.setattr(trainer, "loss", loss_spy)
+    _, log = train(cube, small_init, TrainConfig(iters=1, seed=0, corrupt_sigma=0.5))
+    noisy, (trace, clean) = seen
+    assert not np.array_equal(noisy, clean)
+
+    live = np.linalg.norm(trace.x_hat, axis=1) > 0.0
+
+    def mean_angle(X):
+        # a dead (all-zero) reconstruction has similarity 0, i.e. angle pi
+        x, x_hat = X[live], trace.x_hat[live]
+        cos = np.einsum("ij,ij->i", x, x_hat) / (
+            np.linalg.norm(x, axis=1) * np.linalg.norm(x_hat, axis=1))
+        s = np.arccos(np.clip(cos, -1.0 + 1e-7, 1.0 - 1e-7))
+        return float((s.sum() + np.pi * (~live).sum()) / live.size)
+
+    assert log.recon_sad == [pytest.approx(mean_angle(clean), rel=0, abs=1e-12)]
+    assert abs(mean_angle(noisy) - mean_angle(clean)) > 1e-6
