@@ -8,7 +8,6 @@ constrained least-squares solver used as an independent oracle.
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 
@@ -19,11 +18,11 @@ from .net import HyperParams, angle, forward_batch
 log = logging.getLogger(__name__)
 
 _NEG_TOL = -1e-10
-_THETA_CLIP = 1e-7  # the network's default cosine clamp
+_THETA_CLIP = HyperParams.theta_clip  # SPU uses the network's default cosine clamp
 
 
-def _pairwise_d2(spectra, pixel, kernel):
-    """Squared feature-space distances among endmembers and to the pixel.
+def _pairwise_d2(spectra, pixels, kernel):
+    """Squared feature-space distances: K x K among endmembers, N x K to the pixels.
 
     With ``kernel='sad'``, angularly coincident endmembers raise
     DegenerateSimplex: they collapse the feature-space simplex.
@@ -34,68 +33,84 @@ def _pairwise_d2(spectra, pixel, kernel):
         np.fill_diagonal(cos, 0.0)
         if cos.max() >= 1.0 - 1e-9:
             raise DegenerateSimplex("angularly coincident endmembers")
-        c_ep = angle(spectra, pixel[None, :], _THETA_CLIP).similarity[:, 0]
         d2_ee = 2.0 - 2.0 * ee.similarity
         np.fill_diagonal(d2_ee, 0.0)
-        d2_ep = 2.0 - 2.0 * c_ep
+        d2_ep = 2.0 - 2.0 * angle(pixels, spectra, _THETA_CLIP).similarity
     elif kernel == "l2":
         diff = spectra[:, None, :] - spectra[None, :, :]
         d2_ee = np.einsum("ijk,ijk->ij", diff, diff)
-        dp = spectra - pixel[None, :]
-        d2_ep = np.einsum("ij,ij->i", dp, dp)
+        # one endmember at a time, so no N x K x D difference is built
+        d2_ep = np.empty((pixels.shape[0], spectra.shape[0]))
+        for j, e in enumerate(spectra):
+            dp = pixels - e
+            d2_ep[:, j] = np.einsum("ij,ij->i", dp, dp)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return d2_ee, d2_ep
 
 
 def _bary_solve(d2_ee, d2_ep, active):
-    """Affine barycentric coordinates from mutual squared distances.
+    """Affine barycentric coordinates (N x m) from mutual squared distances.
 
     Uses the last active vertex as reference: G_ij = <v_i - v_r, v_j - v_r>
-    recovered from distances, then a linear solve.
+    recovered from distances, then one linear solve call for all N pixels.
     """
     m = len(active)
     if m == 1:
-        return np.array([1.0])
+        return np.ones((d2_ep.shape[0], 1))
     ref = active[-1]
     others = active[:-1]
     dr = d2_ee[others, ref]
     G = 0.5 * (dr[:, None] + dr[None, :] - d2_ee[np.ix_(others, others)])
-    b = 0.5 * (dr + d2_ep[ref] - d2_ep[others])
+    B = 0.5 * (dr + d2_ep[:, [ref]] - d2_ep[:, others])
     try:
         if np.linalg.cond(G) > 1e12:
             raise DegenerateSimplex("ill-conditioned simplex system")
-        sol = np.linalg.solve(G, b)
+        # G broadcast over one right-hand side per pixel: each pixel gets the
+        # arithmetic of a one-pixel solve, where a multi-column solve would
+        # differ in the last bits and move coordinates near 0 across the clamp
+        sol = np.linalg.solve(G, B[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateSimplex(f"coincident endmembers: {exc}") from exc
     if not np.isfinite(sol).all():
         raise DegenerateSimplex("non-finite barycentric solve")
-    return np.append(sol, 1.0 - sol.sum())
+    return np.column_stack([sol, 1.0 - sol.sum(axis=1)])
 
 
 def simplex_project(d2_ee, d2_ep, k):
-    """Project a point onto the simplex of k vertices given mutual distances.
+    """Project points onto the simplex of k vertices given mutual distances.
 
-    Solves the affine system; while any coordinate is negative, drops the
-    vertex with the most negative coordinate (ties: lower index) and
-    re-solves on the facet. Dropped vertices get zero abundance.
+    ``d2_ep`` holds one point's squared distances to the vertices (k,) or
+    N points' (N, k); the result has the same shape.  Solves the affine
+    system; while any coordinate of a point is negative, drops the vertex
+    with the most negative coordinate (ties: lower index) and re-solves on
+    the facet.  Points that reach the same facet share one solve.  Dropped
+    vertices get zero abundance.
     """
-    active = list(range(k))
-    while True:
-        coords = _bary_solve(d2_ee, d2_ep, active)
-        worst = int(np.argmin(coords))
-        if coords[worst] >= _NEG_TOL or len(active) == 1:
-            break
-        del active[worst]
-    out = np.zeros(k)
-    out[active] = np.maximum(coords, 0.0)
-    out /= out.sum()
-    return out
+    d2_ep = np.asarray(d2_ep, dtype=np.float64)
+    rows = np.atleast_2d(d2_ep)
+    out = np.zeros(rows.shape)
+    pending = {tuple(range(k)): [np.arange(rows.shape[0])]}
+    while pending:
+        # facets only shrink, so every point bound for a facet is in before it is solved
+        active = max(pending, key=len)
+        idx = np.concatenate(pending.pop(active))
+        coords = _bary_solve(d2_ee, rows[idx], list(active))
+        worst = np.argmin(coords, axis=1)
+        drop = coords[np.arange(idx.size), worst] < _NEG_TOL
+        keep = ~drop
+        out[np.ix_(idx[keep], active)] = np.maximum(coords[keep], 0.0)
+        for j in np.unique(worst[drop]):
+            facet = active[:j] + active[j + 1:]
+            pending.setdefault(facet, []).append(idx[drop & (worst == j)])
+    out /= out.sum(axis=1, keepdims=True)
+    return out.reshape(d2_ep.shape)
 
 
-def spu_sad(pixel, endmembers: SpectraMatrix, eps=1e-8, kernel="sad"):
+def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
     """Simplex-projection abundances with the angle-similarity kernel.
 
+    Takes one pixel (D,) or a block (N, D) and returns (K,) or (N, K).
     ``kernel='l2'`` switches to plain Euclidean feature space, which on
     in-simplex pixels coincides with the fully constrained l2 solution.
     """
@@ -103,9 +118,9 @@ def spu_sad(pixel, endmembers: SpectraMatrix, eps=1e-8, kernel="sad"):
     k = E.shape[0]
     if k < 2:
         raise ValueError("simplex projection needs at least two endmembers")
-    pixel = np.asarray(pixel, dtype=np.float64)
-    d2_ee, d2_ep = _pairwise_d2(E, pixel, kernel)
-    return simplex_project(d2_ee, d2_ep, k)
+    pixels = np.asarray(pixels, dtype=np.float64)
+    d2_ee, d2_ep = _pairwise_d2(E, np.atleast_2d(pixels), kernel)
+    return simplex_project(d2_ee, d2_ep[0] if pixels.ndim == 1 else d2_ep, k)
 
 
 def fcls(pixel, endmembers):
@@ -171,33 +186,9 @@ def hidden_abundances(model, cube: HyperCube, hyper: HyperParams | None = None):
     return AbundanceMap(cube.height, cube.width, y)
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("ENDNET_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def spu_abundances(endmembers, cube: HyperCube, kernel="sad"):
-    """Per-pixel simplex projection over the whole cube (K x D endmembers)."""
-    E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else np.atleast_2d(endmembers)
-    k = E.shape[0]
-    n = cube.n_pixels
-    out = np.empty((n, k))
-
-    def run(span):
-        for p in span:
-            out[p] = spu_sad(cube.data[p], E, kernel=kernel)
-
-    workers = _worker_count()
-    if workers == 1 or n < 256:
-        run(range(n))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        spans = np.array_split(np.arange(n), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return AbundanceMap(cube.height, cube.width, out)
+    """Simplex projection of every pixel of the cube (K x D endmembers)."""
+    return AbundanceMap(cube.height, cube.width, spu_sad(cube.data, endmembers, kernel=kernel))
 
 
 def estimate_abundances(model, cube: HyperCube, method="spu"):

@@ -87,7 +87,7 @@ def load_envi(path):
         arr = raw.reshape(lines, bands, samples).transpose(0, 2, 1)
     else:  # bsq
         arr = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
-    data = arr.reshape(lines * samples, bands).astype(np.float64)
+    data = arr.astype(np.float64, order="C").reshape(lines * samples, bands)
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"non-finite values in {path}")
     return HyperCube(height=lines, width=samples, bands=bands, data=data)
@@ -219,10 +219,9 @@ def save_abundance_maps(amap: AbundanceMap, out_dir):
         paths.append(p)
     csv_path = out / "abundances.csv"
     header = "pixel," + ",".join(f"a{i + 1}" for i in range(amap.k))
-    body = [header]
-    for p in range(amap.n_pixels):
-        body.append(f"{p}," + ",".join(f"{v:.17g}" for v in amap.values[p]))
-    _write_atomic(csv_path, ("\n".join(body) + "\n").encode("ascii"))
+    row = "%d," + ",".join(["%.17g"] * amap.k)
+    body = "\n".join(row % r for r in zip(range(amap.n_pixels), *amap.values.T.tolist()))
+    _write_atomic(csv_path, f"{header}\n{body}\n".encode("ascii"))
     paths.append(csv_path)
     return paths
 

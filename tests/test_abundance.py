@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from endnet import (EndNetModel, SpectraMatrix, estimate_abundances, fcls,
-                    hidden_abundances, spu_abundances, spu_sad)
-from endnet.abundance import simplex_project
+from endnet import (EndNetModel, HyperCube, SpectraMatrix, estimate_abundances,
+                    fcls, hidden_abundances, spu_abundances, spu_sad)
+from endnet.abundance import _pairwise_d2, simplex_project
 from endnet.errors import DegenerateSimplex
 
 
@@ -58,6 +58,14 @@ def test_spu_k2_midpoint():
     E = np.array([[1.0, 0.0], [0.0, 1.0]])
     a = spu_sad(np.array([0.5, 0.5]), E, kernel="l2")
     np.testing.assert_allclose(a, [0.5, 0.5], atol=1e-10)
+
+
+def test_spu_drops_the_most_negative_vertex_first():
+    # obtuse triangle: the pixel's coordinates are (-0.67, -4.17, 5.83);
+    # dropping vertex 0, the first negative one, would end on vertex 2
+    E = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.3]])
+    np.testing.assert_allclose(spu_sad(np.array([-3.0, 1.75]), E, kernel="l2"),
+                               [1, 0, 0], atol=1e-12)
 
 
 def test_spu_sad_scale_invariant():
@@ -171,13 +179,67 @@ def test_spu_abundances_valid_rows(small_scene):
     np.testing.assert_allclose(amap.values.sum(axis=1), 1.0, atol=1e-8)
 
 
-def test_spu_abundances_thread_parity(small_scene, monkeypatch):
+def _facet_block(E, seed):
+    """Pixels that project onto facets of every size: the centroid of each
+    vertex subset (interior, faces, edges, vertices), points pushed out past
+    it, away from the simplex's centroid, and random points far outside."""
+    rng = np.random.default_rng(seed)
+    k = E.shape[0]
+    centre = E.mean(axis=0)
+    rows = []
+    for mask in range(1, 2 ** k):
+        p = E[[j for j in range(k) if mask >> j & 1]].mean(axis=0)
+        rows += [p] + [p + t * (p - centre) for t in (0.5, 2.0)]
+    rows += list(3.0 * rng.normal(size=(16, E.shape[1])))  # far out, several negative coordinates
+    return np.array(rows)
+
+
+def _project_one_pixel(x, E, kernel):
+    """Reference: one pixel's drop loop, one facet solve at a time."""
+    d2_ee, d2_ep = _pairwise_d2(E, x[None], kernel)
+    d2_ep = d2_ep[0]
+    k = E.shape[0]
+    active = list(range(k))
+    while True:
+        if len(active) == 1:
+            coords = np.array([1.0])
+            break
+        ref, others = active[-1], active[:-1]
+        dr = d2_ee[others, ref]
+        G = 0.5 * (dr[:, None] + dr[None, :] - d2_ee[np.ix_(others, others)])
+        sol = np.linalg.solve(G, 0.5 * (dr + d2_ep[ref] - d2_ep[others]))
+        coords = np.append(sol, 1.0 - sol.sum())
+        worst = int(np.argmin(coords))  # ties: the lower index
+        if coords[worst] >= -1e-10:
+            break
+        del active[worst]
+    out = np.zeros(k)
+    out[active] = np.maximum(coords, 0.0)
+    return out / out.sum()
+
+
+@pytest.mark.parametrize("kernel", ["sad", "l2"])
+def test_spu_abundances_matches_per_pixel(kernel):
+    E = _random_endmembers(4, 12, 12)
+    X = _facet_block(E, 13)
+    amap = spu_abundances(E, HyperCube(1, X.shape[0], X.shape[1], X), kernel=kernel)
+    per_pixel = np.array([spu_sad(x, E, kernel=kernel) for x in X])
+    reference = np.array([_project_one_pixel(x, E, kernel) for x in X])
+    for expected in (per_pixel, reference):
+        np.testing.assert_allclose(amap.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(amap.values == 0, expected == 0)
+    # pixels ended on facets of every size, 4 (interior) down to 1 (vertex);
+    # the angle obeys the triangle inequality, so under 'sad' no pixel
+    # leaves an edge for one of its ends
+    sizes = 4 - (amap.values == 0).sum(axis=1)
+    assert set(sizes) == ({1, 2, 3, 4} if kernel == "l2" else {2, 3, 4})
+
+
+def test_spu_abundances_coincident_endmembers(small_scene):
     cube, endm, _ = small_scene
-    monkeypatch.setenv("ENDNET_THREADS", "1")
-    single = spu_abundances(endm, cube)
-    monkeypatch.setenv("ENDNET_THREADS", "4")
-    multi = spu_abundances(endm, cube)
-    np.testing.assert_array_equal(single.values, multi.values)
+    E = np.vstack([endm.rows[:2], endm.rows[:1]])
+    with pytest.raises(DegenerateSimplex):
+        spu_abundances(E, cube)
 
 
 def test_hidden_abundances_invariants(small_scene):
@@ -199,7 +261,6 @@ def test_hidden_dead_pixel_uniform(caplog):
     model.rho[:] = -100.0
     model.run_mean[:] = 0.0
     model.run_var[:] = 1.0
-    from endnet import HyperCube
     cube = HyperCube(1, 2, 10, np.abs(E[:2]))
     with caplog.at_level("INFO"):
         amap = hidden_abundances(model, cube)

@@ -226,6 +226,17 @@ def test_abundance_files_roundtrip(tmp_path):
     assert np.abs(back.values - vals).max() < 1e-12
 
 
+def test_abundance_csv_bytes(tmp_path):
+    # awkward values for %.17g: exact zero and one, repeating and inexact
+    # binary fractions, and a value far below the others' last digit
+    vals = np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3],
+                     [0.1, 0.2, 0.7], [1e-17, 1.0 - 1e-17, 0.0]])
+    save_abundance_maps(AbundanceMap(2, 2, vals), tmp_path)
+    rows = ["pixel,a1,a2,a3"] + [f"{p}," + ",".join(f"{v:.17g}" for v in row)
+                                 for p, row in enumerate(vals)]
+    assert (tmp_path / "abundances.csv").read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
 def test_spectra_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     spectra = SpectraMatrix(rng.random((4, 17)))
