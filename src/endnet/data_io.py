@@ -96,9 +96,14 @@ def load_envi(path):
 def load_csv_cube(path):
     """Read a CSV cube: one pixel per row, optional leading '#' header line."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as an error, not also as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise CubeFormatError(f"cannot parse CSV cube {path}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise CubeFormatError(f"CSV cube {path} holds no pixels")
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"non-finite values in {path}")
     h, w = _grid_shape(data.shape[0])

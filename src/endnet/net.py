@@ -22,6 +22,8 @@ from .errors import NumericalDivergence
 CHECKPOINT_MAGIC = b"ENDN"
 CHECKPOINT_VERSION = 1
 BN_MOMENTUM = 0.9
+# rows per block when taking row norms; bounds the squared temporary
+_NORM_BLOCK = 4096
 
 
 @dataclass
@@ -161,8 +163,8 @@ def angle(A, B, theta_clip, paired=False):
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    a_norm = np.linalg.norm(A, axis=1)
-    b_norm = np.linalg.norm(B, axis=1)
+    a_norm = _row_norms(A)
+    b_norm = _row_norms(B)
     if paired:
         dot = np.einsum("ij,ij->i", A, B)
         cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
@@ -174,6 +176,18 @@ def angle(A, B, theta_clip, paired=False):
     clipped = np.abs(cos) >= 1.0 - theta_clip
     theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
     return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta))
+
+
+def _row_norms(A):
+    """``np.linalg.norm(A, axis=1)`` taken ``_NORM_BLOCK`` rows at a time.
+
+    Each row reduces alone, so the result is bit-identical to one call,
+    without its squared copy of the whole of A.
+    """
+    out = np.empty(len(A))
+    for i in range(0, len(A), _NORM_BLOCK):
+        out[i:i + _NORM_BLOCK] = np.linalg.norm(A[i:i + _NORM_BLOCK], axis=1)
+    return out
 
 
 def angle_backward(ang, d_c):
@@ -290,7 +304,6 @@ def l1norm_backward(d_y, z_star, y, eps=1e-8):
     inner = (d_y * y).sum(axis=1)
     dz = (d_y - inner[:, None]) / (s + eps)[:, None]
     dz[~active] = 0.0
-    dz[s <= 0.0] = 0.0
     return dz
 
 
@@ -350,8 +363,10 @@ def loss(trace, model, hyper, target):
     ``target`` is the uncorrupted batch the reconstruction terms compare
     against (the forward pass may have seen a corrupted version).  Both
     this and ``loss_value`` store the per-sample C(target, x_hat) in
-    ``trace.c_recon``.
+    ``trace.c_recon``.  Gradients need a train-mode trace.
     """
+    if trace.mode != "train":
+        raise ValueError("loss gradients need a train-mode trace")
     return _loss_impl(trace, model, hyper, target, want_grads=True)
 
 
@@ -393,11 +408,7 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     df = dz * trace.dropout_mask
     d_bn = df * (trace.bn_out > 0.0)
 
-    if trace.mode == "train":
-        d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered, hyper.eps)
-    else:
-        d_h = d_bn / np.sqrt(model.run_var + hyper.eps)
-        g_sum = d_bn.sum(axis=0)
+    d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered, hyper.eps)
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
     d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 

@@ -62,20 +62,26 @@ class TrainLog:
 def corrupt(x, mask_frac, sigma, rng):
     """Denoising corruption: additive Gaussian noise on a random band subset.
 
-    The perturbed band count is drawn uniformly from 0..floor(mask_frac * D),
-    so at most that fraction of bands ever changes; the input is untouched.
+    Takes one spectrum (D,) or a batch (N, D) and returns the same shape.
+    Each row draws its band count m uniformly from 0..floor(mask_frac * D),
+    so at most that fraction of its bands ever changes, and perturbs the m
+    distinct bands that hold its m smallest keys in one block of uniform
+    keys.  The input is untouched.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     max_m = int(np.floor(mask_frac * d))
-    x_tilde = x.copy()
+    x_tilde = x.copy()  # C order, so its flat view below writes through
     if max_m == 0 or sigma == 0.0:
         # keep the rng stream identical whether or not noise lands
         return x_tilde
-    m = int(rng.integers(0, max_m + 1))
-    if m > 0:
-        bands = rng.choice(d, size=m, replace=False)
-        x_tilde[bands] += rng.normal(0.0, sigma, m)
+    n = x_tilde.size // d
+    m = rng.integers(0, max_m + 1, size=(n, 1))
+    keys = rng.random((n, d))
+    # a row's m smallest keys are the ones at or below its m-th smallest
+    kth = np.take_along_axis(np.sort(keys, axis=1), np.maximum(m - 1, 0), axis=1)
+    hit = np.flatnonzero((keys <= kth) & (m > 0))
+    x_tilde.reshape(-1)[hit] += rng.normal(0.0, sigma, hit.size)
     return x_tilde
 
 
@@ -124,8 +130,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     for it in range(1, cfg.iters + 1):
         idx = rng.integers(0, n, size=cfg.batch_size)
         clean = pixels[idx]
-        noisy = np.stack([corrupt(row, cfg.corrupt_mask_frac, sigma, rng)
-                          for row in clean])
+        noisy = corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
         trace = forward_batch(model, noisy, cfg.hyper, mode="train", rng=rng)
         model.update_run_stats(trace.bn_mean, trace.bn_var)
         try:

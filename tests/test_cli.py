@@ -119,3 +119,16 @@ def test_help_lists_defaults(capsys):
     out = capsys.readouterr().out
     for token in ("0.7", "20000", "--lambda2", "0.1"):
         assert token in out
+
+
+# numpy warns on an empty file; raise that warning, so it cannot pass unseen
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["# bands=3\n", ""])
+def test_exit_code_empty_csv_cube(tmp_path, capsys, text):
+    path = tmp_path / "e.csv"
+    path.write_text(text)
+    rc = main(["extract", "--input", str(path), "--k", "3",
+               "--out-prefix", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: CSV cube {path} holds no pixels"]

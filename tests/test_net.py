@@ -59,6 +59,14 @@ def test_angle_paired_zero_reconstruction():
     assert np.isfinite(g).all() and (g[0] == 0.0).all()
 
 
+def test_angle_row_norms_in_blocks_match_one_call():
+    # the norms are taken in blocks; rows straddle two block edges
+    A = np.random.default_rng(16).uniform(0.0, 1.0, (2 * net._NORM_BLOCK + 3, 7))
+    ang = angle(A, A[:2], THETA_CLIP)
+    np.testing.assert_array_equal(ang.a_norm, np.linalg.norm(A, axis=1))
+    assert angle(np.empty((0, 7)), A[:2], THETA_CLIP).s.shape == (0, 2)
+
+
 def test_sad_grad_zero_at_clamp():
     x = np.array([0.2, 0.4])
     for paired in (False, True):
@@ -328,6 +336,19 @@ def test_loss_nonfinite_raises():
     model.w_dec[0, 0] = np.inf
     with pytest.raises(NumericalDivergence):
         loss(trace, model, hyper, X)
+
+
+def test_loss_gradients_need_a_train_trace():
+    # the infer-mode trace has no batch statistics to differentiate through;
+    # its loss value stays available
+    rng = np.random.default_rng(15)
+    model = _toy_model(rng)
+    X = rng.uniform(0.1, 1.0, (3, 12))
+    hyper = HyperParams()
+    trace = forward_batch(model, X, hyper, mode="infer")
+    with pytest.raises(ValueError, match="train-mode"):
+        loss(trace, model, hyper, X)
+    assert np.isfinite(loss_value(trace, model, hyper, X))
 
 
 def test_rel_error_floor():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from endnet import TrainConfig, adam_step, corrupt, train, trainer
 from endnet.errors import NumericalDivergence
@@ -10,26 +11,36 @@ from endnet.trainer import AdamState
 
 # --- corruption -------------------------------------------------------------
 
+def _assert_noop_draws_nothing(mask_frac, sigma, seed):
+    # one spectrum and a batch: an unchanged copy, and no draw from the rng
+    rng = np.random.default_rng(seed)
+    for shape in [(50,), (5, 50)]:
+        x = rng.random(shape)
+        state = rng.bit_generator.state
+        out = corrupt(x, mask_frac, sigma, rng)
+        assert rng.bit_generator.state == state
+        assert out.shape == shape and out is not x
+        np.testing.assert_array_equal(out, x)
+
+
 def test_corrupt_noop_when_frac_zero():
-    rng = np.random.default_rng(0)
-    x = rng.random(50)
-    np.testing.assert_array_equal(corrupt(x, 0.0, 0.3, rng), x)
+    _assert_noop_draws_nothing(0.0, 0.3, 0)
+    _assert_noop_draws_nothing(0.9 / 50, 0.3, 0)  # floor(mask_frac * D) = 0
 
 
 def test_corrupt_noop_when_sigma_zero():
-    rng = np.random.default_rng(1)
-    x = rng.random(50)
-    np.testing.assert_array_equal(corrupt(x, 0.4, 0.0, rng), x)
+    _assert_noop_draws_nothing(0.4, 0.0, 1)
 
 
 def test_corrupt_bounded_band_count():
     rng = np.random.default_rng(2)
     x = rng.random(100)
+    ref = x.copy()
     for _ in range(200):
         x_tilde = corrupt(x, 0.4, 0.5, rng)
-        assert (x_tilde != x).sum() <= 40
+        assert (x_tilde != ref).sum() <= 40
     # the input itself is untouched
-    np.testing.assert_array_equal(x, x)
+    np.testing.assert_array_equal(x, ref)
 
 
 def test_corrupt_leaves_input_alone():
@@ -38,6 +49,49 @@ def test_corrupt_leaves_input_alone():
     ref = x.copy()
     corrupt(x, 1.0, 1.0, rng)
     np.testing.assert_array_equal(x, ref)
+
+
+# The statistical tests below are seeded, so each gives one fixed verdict; a
+# fair draw would fail the chi-square test at P_MIN once in a thousand seeds.
+P_MIN = 1e-3
+N_ROWS, N_BANDS, MASK_FRAC, SIGMA = 21000, 50, 0.4, 0.5
+MAX_M = int(np.floor(MASK_FRAC * N_BANDS))
+
+
+def _corrupted_batch(seed):
+    X = np.random.default_rng(100 + seed).uniform(0.1, 1.0, (N_ROWS, N_BANDS))
+    ref = X.copy()
+    out = corrupt(X, MASK_FRAC, SIGMA, np.random.default_rng(seed))
+    np.testing.assert_array_equal(X, ref)
+    return X, out
+
+
+def test_corrupt_batch_band_count_uniform():
+    X, out = _corrupted_batch(0)
+    counts = np.bincount((out != X).sum(axis=1), minlength=MAX_M + 1)
+    assert counts.size == MAX_M + 1
+    assert chisquare(counts).pvalue > P_MIN
+
+
+def test_corrupt_batch_hits_exactly_its_m_distinct_bands():
+    seed = 1
+    X, out = _corrupted_batch(seed)
+    # each row's band count is the first draw of the stream
+    m = np.random.default_rng(seed).integers(0, MAX_M + 1, size=N_ROWS)
+    changed = out != X
+    np.testing.assert_array_equal(changed.sum(axis=1), m)
+    assert chisquare(changed.sum(axis=0)).pvalue > P_MIN
+    noise = (out - X)[changed]
+    assert abs(noise.mean()) < 0.01 and abs(noise.std() / SIGMA - 1.0) < 0.01
+
+
+def test_corrupt_keeps_the_input_shape():
+    rng = np.random.default_rng(4)
+    assert corrupt(np.ones(N_BANDS), 1.0, 1.0, rng).shape == (N_BANDS,)
+    assert corrupt(np.ones((3, N_BANDS)), 1.0, 1.0, rng).shape == (3, N_BANDS)
+    # mask_frac = 1 may take every band of a row
+    out = corrupt(np.zeros((2000, 4)), 1.0, 1.0, rng)
+    assert (out != 0.0).all(axis=1).any()
 
 
 # --- Adam -------------------------------------------------------------------
