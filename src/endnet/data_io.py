@@ -54,6 +54,14 @@ def _find_envi_header(path):
     raise CubeFormatError(f"no ENVI header found next to {path}")
 
 
+def _cube_from(height, width, data, path):
+    """The cube of a loaded file; its one finiteness scan names the file."""
+    try:
+        return HyperCube(height=height, width=width, bands=data.shape[1], data=data)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"non-finite values in {path}") from exc
+
+
 def load_envi(path):
     """Read a raw ENVI cube (bsq/bil/bip) with its ASCII sidecar header."""
     fields = _parse_envi_header(_find_envi_header(path))
@@ -88,9 +96,7 @@ def load_envi(path):
     else:  # bsq
         arr = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
     data = arr.astype(np.float64, order="C").reshape(lines * samples, bands)
-    if not np.isfinite(data).all():
-        raise NonFiniteValue(f"non-finite values in {path}")
-    return HyperCube(height=lines, width=samples, bands=bands, data=data)
+    return _cube_from(lines, samples, data, path)
 
 
 def load_csv_cube(path):
@@ -104,10 +110,8 @@ def load_csv_cube(path):
         raise CubeFormatError(f"cannot parse CSV cube {path}: {exc}") from exc
     if data.shape[0] == 0:
         raise CubeFormatError(f"CSV cube {path} holds no pixels")
-    if not np.isfinite(data).all():
-        raise NonFiniteValue(f"non-finite values in {path}")
     h, w = _grid_shape(data.shape[0])
-    return HyperCube(height=h, width=w, bands=data.shape[1], data=data)
+    return _cube_from(h, w, data, path)
 
 
 def load_cube(path, format=None):
@@ -132,11 +136,12 @@ def normalize_cube(cube):
     """Scale so the global maximum is 1; idempotent; preserves band shape."""
     peak = cube.data.max()
     if peak <= 0.0:
-        raise DegenerateCube("cannot normalize an all-zero cube")
+        if cube.data.min() == 0.0:
+            raise DegenerateCube("cannot normalize an all-zero cube")
+        raise DegenerateCube(f"cannot normalize a cube whose maximum {peak:g} is not positive")
     if peak == 1.0:
         return cube
-    return HyperCube(cube.height, cube.width, cube.bands, cube.data / peak,
-                     cube.band_wavelengths)
+    return HyperCube(cube.height, cube.width, cube.bands, cube.data / peak)
 
 
 def _smooth_spectra(k, bands, rng):

@@ -6,7 +6,7 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,9 @@ class HyperCube:
     width: int
     bands: int
     data: np.ndarray
-    band_wavelengths: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen(self.data, (self.height * self.width, self.bands)))
-        if self.band_wavelengths is not None:
-            object.__setattr__(self, "band_wavelengths", _frozen(self.band_wavelengths, (self.bands,)))
         if not np.isfinite(self.data).all():
             raise NonFiniteValue("cube contains NaN/Inf values")
 

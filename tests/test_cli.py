@@ -57,6 +57,45 @@ def test_extract_then_abundances_then_eval(scene_dir, tmp_path, capsys):
     assert "SAD (x1e-2)" in out
 
 
+def test_extract_vca_from_envi_cube(scene_dir, tmp_path, capsys):
+    cube = np.loadtxt(scene_dir / "cube.csv", delimiter=",", ndmin=2)
+    img = tmp_path / "cube.img"
+    # 10 x 10 pixels, written band-sequential as little-endian float32
+    np.ascontiguousarray(cube.reshape(10, 10, 25).transpose(2, 0, 1), dtype="<f4").tofile(img)
+    (tmp_path / "cube.img.hdr").write_text(
+        "ENVI\nsamples = 10\nlines = 10\nbands = 25\n"
+        "data type = 4\ninterleave = bsq\nbyte order = 0\n")
+    rc = main(["extract", "--input", str(img), "--k", "3", "--init", "vca",
+               *_FAST_TRAIN, "--out-prefix", str(tmp_path / "run")])
+    assert rc == 0
+    assert load_spectra_csv(tmp_path / "run_endmembers.csv").rows.shape == (3, 25)
+    assert "wrote" in capsys.readouterr().out
+
+
+def test_abundances_hidden(scene_dir, tmp_path):
+    prefix = tmp_path / "run"
+    rc = main(["extract", "--input", str(scene_dir / "cube.csv"), "--k", "3",
+               *_FAST_TRAIN, "--out-prefix", str(prefix)])
+    assert rc == 0
+    rc = main(["abundances", "--input", str(scene_dir / "cube.csv"),
+               "--checkpoint", f"{prefix}.endn", "--method", "hidden",
+               "--out-dir", str(tmp_path / "maps")])
+    assert rc == 0
+    amap = load_abundance_csv(tmp_path / "maps" / "abundances.csv")
+    assert amap.values.shape == (100, 3)
+    assert len(list((tmp_path / "maps").glob("abundance_*.pgm"))) == 3
+
+
+def test_exit_code_negative_cube(tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    path.write_text("-1,-2\n-0.5,-3\n")
+    rc = main(["extract", "--input", str(path), "--k", "2",
+               "--out-prefix", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot normalize a cube whose maximum -0.5 is not positive"]
+
+
 def test_eval_repeats(scene_dir, tmp_path, capsys):
     rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
                "--gt-spectra", str(scene_dir / "endmembers.csv"),

@@ -42,6 +42,31 @@ def test_csv_nan_rejected(tmp_path):
         load_cube(path)
 
 
+def test_load_scans_finiteness_once_and_names_the_file(tmp_path, monkeypatch):
+    good = tmp_path / "good.csv"
+    good.write_text("1,2\n3,4\n")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("1,2\nnan,4\n")
+    arr = np.ones((2, 3, 4))
+    arr[1, 2, 3] = np.inf
+    bad_envi = _write_envi(tmp_path, arr, "bsq", 5)
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        scans.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    load_cube(good)
+    assert scans == [(2, 2)]
+    for path, shape in ((bad_csv, (2, 2)), (bad_envi, (6, 4))):
+        scans.clear()
+        with pytest.raises(NonFiniteValue, match=f"non-finite values in {path}"):
+            load_cube(path)
+        assert scans == [shape]
+
+
 def test_csv_garbage_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\nfoo,4\n")
@@ -145,6 +170,13 @@ def test_normalize_scales_and_idempotent():
 def test_normalize_all_zero():
     with pytest.raises(DegenerateCube):
         normalize_cube(HyperCube(1, 2, 2, np.zeros((2, 2))))
+
+
+def test_normalize_non_positive_maximum():
+    with pytest.raises(DegenerateCube, match="maximum -0.25 is not positive"):
+        normalize_cube(HyperCube(1, 2, 2, [[-1.0, -0.25], [-2.0, -3.0]]))
+    with pytest.raises(DegenerateCube, match="maximum 0 is not positive"):
+        normalize_cube(HyperCube(1, 2, 2, [[0.0, -0.25], [0.0, 0.0]]))
 
 
 def test_synth_noiseless_exact():

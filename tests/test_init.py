@@ -1,11 +1,13 @@
 """Geometric initializers: exactness on pure-pixel data and tie rules."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from endnet import HyperCube, dmaxd, vca
+from endnet import HyperCube, SynthSpec, dmaxd, vca
+from endnet.data_io import normalize_cube, synth_scene
 from endnet.errors import DegenerateData
 
 
@@ -119,3 +121,153 @@ def test_dmaxd_rank_deficient_k():
     cube = HyperCube(1, 4, 1, [[0.0], [0.3], [0.7], [1.0]])
     with pytest.raises((DegenerateData, ValueError)):
         dmaxd(cube, 3)
+
+
+def _dmaxd_bruteforce(X, k):
+    """The O(N^2 D) dmaxd: every pixel pair in 512-row blocks, then the
+    greedy residual over the whole cube.  The oracle for ``dmaxd``."""
+    n = len(X)
+    sq = np.einsum("ij,ij->i", X, X)
+    best = -1.0
+    best_pair = (0, 0)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop] @ X.T)
+        block = np.where(np.arange(n)[None, :] > np.arange(start, stop)[:, None], d2, -np.inf)
+        flat = int(np.argmax(block))
+        if block.flat[flat] > best:
+            best = float(block.flat[flat])
+            best_pair = (start + flat // n, flat % n)
+    if best <= 1e-12:
+        raise DegenerateData("all pixels identical")
+    i0, j0 = best_pair
+    indices = [i0, j0]
+    R = X - X[i0]
+    q = X[j0] - X[i0]
+    v = q / np.linalg.norm(q)
+    R = R - np.outer(R @ v, v)
+    while len(indices) < k:
+        dist = np.linalg.norm(R, axis=1)
+        dist[indices] = -1.0
+        idx = int(np.argmax(dist))
+        if dist[idx] <= 1e-12:
+            raise DegenerateData("rank-deficient")
+        indices.append(idx)
+        v = R[idx] / np.linalg.norm(R[idx])
+        R = R - np.outer(R @ v, v)
+    return indices[:k]
+
+
+def _picks_or_raise(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateData:
+        return "DegenerateData"
+
+
+def _random_cloud(case):
+    """Cloud ``case`` of the oracle comparison: six kinds in turn, with
+    N <= 4 every 10th case, D <= 2 every 7th and N > 1024 every 50th."""
+    rng = np.random.default_rng(case)
+    if case % 10 == 0:
+        n = int(rng.integers(1, 5))
+    elif case % 50 == 1:
+        n = int(rng.integers(1000, 2600))
+    else:
+        n = int(rng.integers(5, 300))
+    d = int(rng.integers(1, 3)) if case % 7 == 0 else int(rng.integers(3, 40))
+    kind = case % 6
+    if kind == 0:
+        X = rng.random((n, d))
+    elif kind == 1:  # duplicated pixels on a 1/64 grid, so every tie is exact
+        base = rng.integers(0, 64, (max(1, n // 3), d)) / 64.0
+        X = base[rng.integers(0, len(base), n)]
+    elif kind == 2:  # a coarse grid: many exactly tied pairs
+        X = rng.integers(0, 3, (n, d)) / 8.0
+    elif kind == 3:  # planar: an affine 2-D plane in d bands
+        X = rng.random((n, 2)) @ rng.random((2, d)) + rng.random(d)
+    elif kind == 4:  # noisy mixtures of three spectra, far from the origin
+        X = (rng.dirichlet(np.full(3, 0.3), n) @ (rng.random((3, d)) * 10 + 100)
+             + rng.normal(0, 1e-3, (n, d)))
+    else:
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
+    k = int(rng.integers(1, min(d + 1, n) + 1))
+    return HyperCube(1, n, d, X), k
+
+
+def test_dmaxd_matches_bruteforce_oracle_on_random_clouds():
+    mismatches = []
+    for case in range(1000):
+        cube, k = _random_cloud(case)
+        want = _picks_or_raise(_dmaxd_bruteforce, cube.data, k)
+        got = _picks_or_raise(lambda: dmaxd(cube, k).pixel_indices)
+        if got != want:
+            mismatches.append((case, got, want))
+    assert mismatches == []
+
+
+def test_dmaxd_finds_the_farthest_pair_among_float_duplicates():
+    # Duplicates of arbitrary floats tie exactly, but BLAS may round the two
+    # tied dot products differently, so which tied pair wins is left open:
+    # only the distance of the pair found is pinned.
+    for case in range(200):
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(3, 200)), int(rng.integers(1, 30))
+        base = rng.random((max(2, n // 3), d))
+        X = base[rng.integers(0, len(base), n)]
+        if len({tuple(r) for r in X}) < 2:
+            continue
+        i, j = dmaxd(HyperCube(1, n, d, X), 2).pixel_indices
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        assert d2[i, j] >= d2.max() * (1 - 1e-12)
+
+
+def test_dmaxd_matches_bruteforce_oracle_on_scenes(noisy_scene):
+    urban_crop, _, _ = synth_scene(SynthSpec(k=4, bands=162, n_pixels=64 * 64, snr_db=40.0,
+                                             pure_pixel_fraction=0.05, dirichlet_alpha=0.2,
+                                             seed=6))
+    for cube in (noisy_scene[0], normalize_cube(urban_crop)):
+        for k in (2, 4, 6):
+            assert dmaxd(cube, k).pixel_indices == _dmaxd_bruteforce(cube.data, k)
+
+
+def test_constant_cube_degenerate():
+    cube = HyperCube(20, 50, 50, np.full((1000, 50), 0.3))
+    with pytest.raises(DegenerateData):
+        vca(cube, 2)
+    with pytest.raises(DegenerateData):
+        dmaxd(cube, 2)
+
+
+def test_vca_picks_on_the_acceptance_scene(noisy_scene):
+    cube = noisy_scene[0]
+    assert [vca(cube, 4, seed=s).pixel_indices for s in range(5)] == [
+        [1387, 1752, 1082, 961], [1569, 1851, 961, 1549], [961, 1082, 1847, 1549],
+        [55, 1387, 1082, 961], [1082, 1847, 286, 961]]
+
+
+def test_vca_picks_do_not_depend_on_eigenvector_signs(noisy_scene, monkeypatch):
+    cube = noisy_scene[0]
+    want = [vca(cube, 4, seed=s).pixel_indices for s in range(5)]
+    eigh = np.linalg.eigh
+
+    def flipped(a):
+        w, v = eigh(a)
+        return w, v * np.where(np.arange(v.shape[1]) % 2 == 0, -1.0, 1.0)
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    assert [vca(cube, 4, seed=s).pixel_indices for s in range(5)] == want
+
+
+@pytest.mark.parametrize("seeder", [lambda c: vca(c, 4, seed=0), lambda c: dmaxd(c, 4)],
+                         ids=["vca", "dmaxd"])
+def test_seeders_hold_no_copy_of_the_cube(seeder):
+    cube, _, _ = synth_scene(SynthSpec(k=4, bands=50, n_pixels=20000, snr_db=40.0,
+                                       pure_pixel_fraction=0.05, dirichlet_alpha=0.2, seed=6))
+    tracemalloc.start()
+    try:
+        seeder(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.data.nbytes / 2
