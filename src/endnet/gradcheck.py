@@ -1,10 +1,14 @@
 """Central finite-difference verification of every analytic gradient.
 
 Random instances are resampled until they sit safely away from the ReLU,
-top-n and cosine-clamp kinks, where the loss is not differentiable.
+top-n and cosine-clamp kinks, where the loss is not differentiable.  All
+2P perturbed copies of a P-element array are stacked on a leading replica
+axis and evaluated in one call of the layers that training runs.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -23,20 +27,27 @@ def rel_error(a, b, floor=1e-12):
 
 
 def _central_diff(f, arr, step=FD_STEP):
+    """Central differences of f at every element of the P-element ``arr``.
+
+    f maps a (2P, *arr.shape) stack to its 2P values: row i holds arr with
+    element i moved by +h_i, row P + i the same element moved by -h_i,
+    where h_i = step * max(1, |arr_i|).
+    """
     arr = np.asarray(arr, dtype=np.float64)
-    grad = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = arr[idx]
-        h = step * max(1.0, abs(orig))
-        arr[idx] = orig + h
-        fp = f()
-        arr[idx] = orig - h
-        fm = f()
-        arr[idx] = orig
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad
+    flat = arr.ravel()
+    p = flat.size
+    h = step * np.maximum(1.0, np.abs(flat))
+    stack = np.tile(flat, (2 * p, 1))
+    i = np.arange(p)
+    stack[i, i] = flat + h
+    stack[p + i, i] = flat - h
+    values = f(stack.reshape((2 * p,) + arr.shape))
+    return ((values[:p] - values[p:]) / (2.0 * h)).reshape(arr.shape)
+
+
+def _weighted_sum(G, out):
+    """sum(G * out) over G's axes, once per leading replica of ``out``."""
+    return np.sum(G * out, axis=tuple(range(-G.ndim, 0)))
 
 
 def check_sad(rng, d=None):
@@ -61,8 +72,8 @@ def check_sad(rng, d=None):
                 break
         G = rng.normal(0.0, 1.0, ang.s.shape)
 
-        def value():
-            return float(np.sum(G * net.angle(A, B, theta_clip, paired).similarity))
+        def value(Bs):
+            return _weighted_sum(G, net.angle(A, Bs, theta_clip, paired).similarity)
 
         analytic = net.angle_backward(ang, G)
         worst = max(worst, rel_error(analytic, _central_diff(value, B)))
@@ -82,17 +93,17 @@ def check_batchnorm(rng, n=None, k=None):
     rho = rng.normal(0.0, 0.5, k)
     G = rng.normal(0.0, 1.0, (n, k))
 
-    def value():
-        out, _, _, _ = net.batchnorm_forward(H, rho, mode="train")
-        return float(np.sum(G * out))
+    def value(Hs, rhos):
+        out, _, _, _ = net.batchnorm_forward(Hs, rhos, mode="train")
+        return _weighted_sum(G, out)
 
     _, _, var, centered = net.batchnorm_forward(H, rho, mode="train")
     dH, drho = net.batchnorm_backward(G, var, centered)
     # n=2 batches normalize to +-1 exactly, leaving an eps-scale input
     # gradient; compare against the layer's characteristic scale then
     floor = 1e-5 * np.linalg.norm(G)
-    err_h = rel_error(dH, _central_diff(value, H), floor)
-    err_rho = rel_error(drho, _central_diff(value, rho), floor)
+    err_h = rel_error(dH, _central_diff(lambda Hs: value(Hs, rho), H), floor)
+    err_rho = rel_error(drho, _central_diff(lambda rhos: value(H, rhos), rho), floor)
     return max(err_h, err_rho)
 
 
@@ -108,9 +119,10 @@ def check_l1norm(rng, k=None):
     G = rng.normal(0.0, 1.0, k)
     eps = 1e-8
 
-    def value():
-        y = z_star / (z_star.sum() + eps)
-        return float(np.dot(G, y))
+    def value(zs):
+        ys = zs / (zs.sum(axis=-1, keepdims=True) + eps)
+        # np.dot per row: a matrix product rounds these sums differently
+        return np.array([np.dot(G, y) for y in ys])
 
     y = z_star / (z_star.sum() + eps)
     analytic = net.l1norm_backward(G[None, :], z_star[None, :], y[None, :], eps)[0]
@@ -120,14 +132,18 @@ def check_l1norm(rng, k=None):
 
 
 def _random_instance(rng, d, k, n, hyper):
-    """Sample a model + batch whose forward sits away from every kink."""
+    """Sample a model, batch and dropout mask whose forward sits away from every kink.
+
+    With ``hyper.dropout_p < 1`` each attempt draws its own mask, the way
+    training does; the instance is kink-free under the mask it returns.
+    """
     for _ in range(5000):
         X = rng.uniform(0.1, 1.0, (n, d))
         model = net.EndNetModel(
             w_enc=rng.uniform(0.1, 1.0, (k, d)),
             rho=rng.normal(0.2, 0.5, k),
             w_dec=rng.uniform(0.05, 1.0, (d, k)))
-        trace = net.forward_batch(model, X, hyper, mode="train")
+        trace = net.forward_batch(model, X, hyper, mode="train", rng=rng)
         if np.abs(trace.bn_out).min() < KINK_MARGIN:
             continue
         if np.abs(trace.angle.theta).max() > 1.0 - 1e-3:
@@ -141,27 +157,35 @@ def _random_instance(rng, d, k, n, hyper):
         net.loss_value(trace, model, hyper, X)  # fills trace.c_recon
         if trace.c_recon.min() < 0.02 or trace.c_recon.max() > 1.0 - 1e-3:
             continue
-        return model, X
+        return model, X, trace.dropout_mask
     raise RuntimeError("could not sample a kink-free gradcheck instance")
 
 
-def check_full_loss(rng, d=None, k=None, n=None):
-    """FD check of the complete loss gradient for every trainable array."""
+def check_full_loss(rng, d=None, k=None, n=None, hyper=None):
+    """FD check of the complete loss gradient for every trainable array.
+
+    ``hyper`` defaults to the reference setup with top_n = min(2, k); with
+    ``dropout_p < 1`` a dropout mask is drawn with the instance and pinned
+    for every evaluation.
+    """
     d = d or int(rng.integers(5, 21))
     k = k or int(rng.integers(2, 7))
     n = n or int(rng.integers(2, 9))
-    hyper = net.HyperParams(top_n=min(2, k))
-    model, X = _random_instance(rng, d, k, n, hyper)
+    hyper = hyper or net.HyperParams(top_n=min(2, k))
+    model, X, mask = _random_instance(rng, d, k, n, hyper)
+    params = model.params()
 
-    def value():
-        trace = net.forward_batch(model, X, hyper, mode="train")
-        return net.loss_value(trace, model, hyper, X)
+    def value(name, stack):
+        # one stacked model whose `name` array carries the replica axis
+        stacked = net.EndNetModel(**{**params, name: stack})
+        trace = net.forward_batch(stacked, X, hyper, mode="train", dropout_mask=mask)
+        return net.loss_value(trace, stacked, hyper, X)
 
-    trace = net.forward_batch(model, X, hyper, mode="train")
+    trace = net.forward_batch(model, X, hyper, mode="train", dropout_mask=mask)
     _, grads = net.loss(trace, model, hyper, X)
     worst = 0.0
-    for name, arr in model.params().items():
-        worst = max(worst, rel_error(grads[name], _central_diff(value, arr)))
+    for name, arr in params.items():
+        worst = max(worst, rel_error(grads[name], _central_diff(partial(value, name), arr)))
     return worst
 
 

@@ -6,6 +6,13 @@ dropout, hard top-n selection and l1 normalization; the decoder is a plain
 bias-free linear map whose columns converge to the endmembers.  All
 gradients are derived by hand and checked against finite differences in
 the gradcheck module.
+
+The forward layers and the loss value also take a leading replica axis,
+``(..., N, .)``: a model whose parameter arrays carry extra leading axes
+(which broadcast against each other) is evaluated for every replica in
+one call, one total per replica.  Gradient checks use it to evaluate all
+perturbed parameter sets at once.  The backward, ``save`` and ``load``
+work on a single, unstacked model.
 """
 
 from __future__ import annotations
@@ -55,27 +62,31 @@ class EndNetModel:
     """Trainable parameters plus running normalization statistics.
 
     No bias vectors exist anywhere; encoder and decoder use disjoint
-    parameter sets (w_enc is K x D, w_dec is D x K).
+    parameter sets (w_enc is K x D, w_dec is D x K).  A stacked model gives
+    any of them leading replica axes: (..., K, D), (..., K), (..., D, K).
     """
 
     def __init__(self, w_enc, rho, w_dec, run_mean=None, run_var=None):
         self.w_enc = np.array(w_enc, dtype=np.float64)
         self.rho = np.array(rho, dtype=np.float64)
         self.w_dec = np.array(w_dec, dtype=np.float64)
-        k, d = self.w_enc.shape
-        if self.w_dec.shape != (d, k) or self.rho.shape != (k,):
+        k, d = self.w_enc.shape[-2:]
+        if self.w_dec.shape[-2:] != (d, k) or self.rho.shape[-1:] != (k,):
             raise ValueError("inconsistent parameter shapes")
+        # raises ValueError unless the replica axes broadcast
+        self.replicas = np.broadcast_shapes(
+            self.w_enc.shape[:-2], self.rho.shape[:-1], self.w_dec.shape[:-2])
         self.run_mean = np.zeros(k) if run_mean is None else np.array(run_mean, dtype=np.float64)
         self.run_var = np.ones(k) if run_var is None else np.array(run_var, dtype=np.float64)
         self._stats_initialized = False
 
     @property
     def k(self):
-        return self.w_enc.shape[0]
+        return self.w_enc.shape[-2]
 
     @property
     def d(self):
-        return self.w_enc.shape[1]
+        return self.w_enc.shape[-1]
 
     @property
     def n_trainable(self):
@@ -88,7 +99,7 @@ class EndNetModel:
         return cls(w_enc=e.copy(), rho=np.zeros(e.shape[0]), w_dec=e.T.copy())
 
     def endmembers(self):
-        return self.w_dec.T.copy()
+        return self.w_dec.swapaxes(-1, -2).copy()
 
     def params(self):
         return {"w_enc": self.w_enc, "rho": self.rho, "w_dec": self.w_dec}
@@ -103,6 +114,8 @@ class EndNetModel:
             self.run_var = BN_MOMENTUM * self.run_var + (1.0 - BN_MOMENTUM) * var
 
     def save(self, path):
+        if self.replicas:
+            raise ValueError("a stacked model has no checkpoint format")
         header = CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, self.d, self.k)
         payload = b"".join(
             np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -156,7 +169,8 @@ def angle(A, B, theta_clip, paired=False):
     """Spectral angles between the rows of A and the rows of B.
 
     Every row of A against every row of B (an N x K result) by default;
-    ``paired=True`` takes row i of A with row i of B.  The cosine is
+    ``paired=True`` takes row i of A with row i of B.  Leading replica axes
+    of A and B broadcast: (..., N, D) against (..., K, D).  The cosine is
     clamped to +-(1 - theta_clip), where the angle still has a finite slope.
     Every-pair mode rejects a zero-norm row; paired mode gives a zero-norm
     row of B (a dead reconstruction) the cosine 0.
@@ -166,27 +180,27 @@ def angle(A, B, theta_clip, paired=False):
     a_norm = _row_norms(A)
     b_norm = _row_norms(B)
     if paired:
-        dot = np.einsum("ij,ij->i", A, B)
+        dot = np.einsum("...ij,...ij->...i", A, B)
         cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
     else:
         if not (a_norm.all() and b_norm.all()):
             raise ValueError("a zero-norm spectrum has no angle")
-        dot = A @ B.T
-        cos = dot / np.outer(a_norm, b_norm)
+        dot = A @ B.swapaxes(-1, -2)
+        cos = dot / (a_norm[..., :, None] * b_norm[..., None, :])
     clipped = np.abs(cos) >= 1.0 - theta_clip
     theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
     return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta))
 
 
 def _row_norms(A):
-    """``np.linalg.norm(A, axis=1)`` taken ``_NORM_BLOCK`` rows at a time.
+    """``np.linalg.norm(A, axis=-1)`` taken ``_NORM_BLOCK`` rows at a time.
 
     Each row reduces alone, so the result is bit-identical to one call,
     without its squared copy of the whole of A.
     """
-    out = np.empty(len(A))
-    for i in range(0, len(A), _NORM_BLOCK):
-        out[i:i + _NORM_BLOCK] = np.linalg.norm(A[i:i + _NORM_BLOCK], axis=1)
+    out = np.empty(A.shape[:-1])
+    for i in range(0, A.shape[-2], _NORM_BLOCK):
+        out[..., i:i + _NORM_BLOCK] = np.linalg.norm(A[..., i:i + _NORM_BLOCK, :], axis=-1)
     return out
 
 
@@ -222,30 +236,31 @@ class ForwardTrace:
     z_star: np.ndarray
     z_star_sum: np.ndarray    # l1 mass per sample
     y: np.ndarray
-    x_hat: np.ndarray
     mode: str = "train"
-    c_recon: np.ndarray | None = None  # C(target, x_hat) per sample, set by the loss
+    # set by the loss: the decoder output and C(target, x_hat) per sample
+    x_hat: np.ndarray | None = None
+    c_recon: np.ndarray | None = None
 
 
 def batchnorm_forward(H, rho, eps=1e-8, mode="train", run_stats=None):
     """Shift-only batch normalization: (h - mu)/sqrt(var + eps) + rho.
 
-    Train mode computes per-column statistics over the mini-batch and
-    returns them; infer mode uses the supplied running statistics.
-    Returns (out, mean, var, centered).
+    Train mode computes per-column statistics over the mini-batch (the
+    row axis, -2) and returns them; infer mode uses the supplied running
+    statistics.  rho is (..., K).  Returns (out, mean, var, centered).
     """
     H = np.asarray(H, dtype=np.float64)
     if mode == "train":
-        if H.shape[0] < 2:
+        if H.shape[-2] < 2:
             raise ValueError("train-mode batch norm needs at least two samples")
-        mean = H.mean(axis=0)
-        var = H.var(axis=0)
+        mean = H.mean(axis=-2)
+        var = H.var(axis=-2)
     elif mode == "infer":
         mean, var = run_stats
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    centered = (H - mean) / np.sqrt(var + eps)
-    return centered + rho, mean, var, centered
+    centered = (H - mean[..., None, :]) / np.sqrt(var + eps)[..., None, :]
+    return centered + np.asarray(rho)[..., None, :], mean, var, centered
 
 
 def batchnorm_backward(d_out, bn_var, bn_centered, eps=1e-8):
@@ -274,20 +289,18 @@ def relu_topn_l1(z_pre, dropout_mask, top_n, eps=1e-8):
     z = r * (z_pre * (z_pre > 0.0))
     mask = _topn_mask(z, top_n)
     z_star = z * mask
-    s = z_star.sum(axis=1)
-    y = z_star / (s + eps)[:, None]
+    s = z_star.sum(axis=-1)
+    y = z_star / (s + eps)[..., None]
     return z, z_star, y
 
 
 def _topn_mask(z, top_n):
     """Boolean mask of the top_n largest entries per row; stable tie-break."""
-    n, k = z.shape
-    if top_n >= k:
+    if top_n >= z.shape[-1]:
         return np.ones_like(z, dtype=bool)
-    order = np.argsort(-z, axis=1, kind="stable")
+    order = np.argsort(-z, axis=-1, kind="stable")
     mask = np.zeros_like(z, dtype=bool)
-    rows = np.repeat(np.arange(n), top_n)
-    mask[rows, order[:, :top_n].ravel()] = True
+    np.put_along_axis(mask, order[..., :top_n], True, axis=-1)
     return mask
 
 
@@ -308,13 +321,14 @@ def l1norm_backward(d_y, z_star, y, eps=1e-8):
 
 
 def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
-    """Run the full encoder/decoder on an N x D batch; returns a ForwardTrace.
+    """Run the encoder on an N x D batch; returns a ForwardTrace.
 
+    The decoder runs in the loss, which is the only reader of its output.
     Dropout applies only in train mode (inverted convention); pass an
     explicit ``dropout_mask`` to pin it, e.g. for gradient checks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.d:
+    if X.shape[-1] != model.d:
         raise ValueError("band count mismatch between batch and model")
     hyper.validate(model.k)
 
@@ -337,12 +351,11 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
         r = np.ones_like(bn_out)
 
     z, z_star, y = relu_topn_l1(bn_out, r, hyper.top_n, hyper.eps)
-    x_hat = y @ model.w_dec.T
 
     return ForwardTrace(
         angle=enc, h=h, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
-        dropout_mask=r, z=z, z_star=z_star, z_star_sum=z_star.sum(axis=1), y=y,
-        x_hat=x_hat, mode=mode)
+        dropout_mask=r, z=z, z_star=z_star, z_star_sum=z_star.sum(axis=-1), y=y,
+        mode=mode)
 
 
 def forward(model, x, hyper, mode="infer", rng=None):
@@ -353,7 +366,10 @@ def forward(model, x, hyper, mode="infer", rng=None):
 
 
 def loss_value(trace, model, hyper, target):
-    """Composite loss only (no gradients); target is the clean batch."""
+    """Composite loss only (no gradients); target is the clean batch.
+
+    A stacked trace or model gives one total per replica.
+    """
     return _loss_impl(trace, model, hyper, target, want_grads=False)[0]
 
 
@@ -362,18 +378,22 @@ def loss(trace, model, hyper, target):
 
     ``target`` is the uncorrupted batch the reconstruction terms compare
     against (the forward pass may have seen a corrupted version).  Both
-    this and ``loss_value`` store the per-sample C(target, x_hat) in
-    ``trace.c_recon``.  Gradients need a train-mode trace.
+    this and ``loss_value`` store the decoder output in ``trace.x_hat`` and
+    the per-sample C(target, x_hat) in ``trace.c_recon``.  Gradients need
+    a train-mode trace of an unstacked model.
     """
     if trace.mode != "train":
         raise ValueError("loss gradients need a train-mode trace")
+    if model.replicas or trace.y.ndim != 2:
+        raise ValueError("loss gradients need an unstacked model and trace")
     return _loss_impl(trace, model, hyper, target, want_grads=True)
 
 
 def _loss_impl(trace, model, hyper, target, want_grads):
     X_clean = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    n = X_clean.shape[0]
-    x_hat = trace.x_hat
+    n = X_clean.shape[-2]
+    x_hat = trace.y @ model.w_dec.swapaxes(-1, -2)
+    trace.x_hat = x_hat
     diff = x_hat - X_clean
 
     # the angular term compares against the clean target; a zero
@@ -383,14 +403,14 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     c = np.where(ok, recon_angle.similarity, 0.0)
     trace.c_recon = c
 
-    recon = hyper.lambda0 * 0.5 * np.sum(diff * diff) / n
-    kl = hyper.lambda1 * np.mean(-np.log(c + hyper.eps))
-    sparsity = hyper.lambda2 * np.mean(trace.z.sum(axis=1))
-    reg = (hyper.lambda3 * np.sum(model.w_enc ** 2)
-           + hyper.lambda4 * np.sum(model.w_dec ** 2)
-           + hyper.lambda5 * np.sum(model.rho ** 2))
+    recon = hyper.lambda0 * 0.5 * np.sum(diff * diff, axis=(-2, -1)) / n
+    kl = hyper.lambda1 * np.mean(-np.log(c + hyper.eps), axis=-1)
+    sparsity = hyper.lambda2 * np.mean(trace.z.sum(axis=-1), axis=-1)
+    reg = (hyper.lambda3 * np.sum(model.w_enc ** 2, axis=(-2, -1))
+           + hyper.lambda4 * np.sum(model.w_dec ** 2, axis=(-2, -1))
+           + hyper.lambda5 * np.sum(model.rho ** 2, axis=-1))
     total = recon + kl + sparsity + reg
-    if not np.isfinite(total):
+    if not np.isfinite(total).all():
         raise NumericalDivergence("loss is non-finite")
     if not want_grads:
         return total, None

@@ -65,6 +65,7 @@ def test_criterion_2_pure_pixel_exactness(noiseless_scene, announce):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_end_to_end_recovery(noisy_scene, trained, announce):
     cube, gt_endm, gt_abund = noisy_scene
     model, _, train_time = trained
@@ -192,6 +193,7 @@ def test_criterion_5_structural_invariants(small_scene, small_init, tmp_path,
     assert ok, failures
 
 
+@pytest.mark.slow
 def test_criterion_6_sparsity_pressure(noisy_scene, trained, announce):
     cube, _, _ = noisy_scene
     model_sparse, init, _ = trained

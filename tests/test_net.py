@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, forward, forward_batch, loss, net
+from endnet import EndNetModel, HyperParams, forward, forward_batch, gradcheck, loss, net
 from endnet.errors import NumericalDivergence
-from endnet.gradcheck import (check_batchnorm, check_full_loss, check_l1norm,
+from endnet.gradcheck import (FD_STEP, check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
 from endnet.net import (angle, angle_backward, batchnorm_backward,
                         batchnorm_forward, l1norm_backward, loss_value,
@@ -234,6 +234,8 @@ def test_forward_infer_deterministic():
     a = forward(model, x, hyper)
     b = forward(model, x, hyper)
     np.testing.assert_array_equal(a.y, b.y)
+    loss_value(a, model, hyper, x)
+    loss_value(b, model, hyper, x)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
 
 
@@ -262,6 +264,9 @@ def test_forward_xhat_is_decoder_product():
     model = _toy_model(rng)
     X = rng.uniform(0.1, 1.0, (5, 12))
     trace = forward_batch(model, X, HyperParams(), mode="train")
+    # the decoder runs in the loss, not in the forward
+    assert trace.x_hat is None
+    loss_value(trace, model, HyperParams(), X)
     np.testing.assert_array_equal(trace.x_hat, trace.y @ model.w_dec.T)
 
 
@@ -327,6 +332,37 @@ def test_loss_gradients_match_finite_differences():
     assert check_full_loss(rng, d=5, k=3, n=4) < 1e-4
 
 
+def test_loss_gradients_under_pinned_dropout(monkeypatch):
+    """Every perturbed evaluation and the analytic trace see one drawn mask."""
+    masks = []
+    real = net.forward_batch
+
+    def spy(model, X, hyper, mode="train", rng=None, dropout_mask=None):
+        masks.append(dropout_mask)
+        return real(model, X, hyper, mode, rng, dropout_mask)
+
+    monkeypatch.setattr(net, "forward_batch", spy)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        masks.clear()
+        assert check_full_loss(rng, d=6, k=4, n=4,
+                               hyper=HyperParams(dropout_p=0.5)) < 1e-4
+        # the analytic trace, then one stacked pass per trainable array
+        pinned = masks[-4:]
+        assert all(m is pinned[0] for m in pinned)
+        assert set(np.unique(pinned[0])) == {0.0, 2.0}
+
+
+@pytest.mark.parametrize("top_n", ["one", "all"])
+def test_loss_gradients_at_the_top_n_extremes(top_n):
+    # a one-hot code (y a unit vector) and no truncation at all
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        k = int(rng.integers(2, 7))
+        hyper = HyperParams(top_n=1 if top_n == "one" else k)
+        assert check_full_loss(rng, k=k, hyper=hyper) < 1e-4
+
+
 def test_loss_nonfinite_raises():
     rng = np.random.default_rng(14)
     model = _toy_model(rng)
@@ -349,6 +385,119 @@ def test_loss_gradients_need_a_train_trace():
     with pytest.raises(ValueError, match="train-mode"):
         loss(trace, model, hyper, X)
     assert np.isfinite(loss_value(trace, model, hyper, X))
+
+
+# --- replica axis and the stacked finite differences -------------------------
+
+def _model_with(model, name, arr):
+    return EndNetModel(**{**model.params(), name: arr},
+                       run_mean=model.run_mean, run_var=model.run_var)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_stacked_forward_and_loss_match_solo_calls(mode, r):
+    rng = np.random.default_rng(19)
+    model = _toy_model(rng)
+    X = rng.uniform(0.1, 1.0, (5, 12))
+    hyper = HyperParams()
+    for name, arr in model.params().items():
+        stack = arr + rng.normal(0.0, 0.05, (r,) + arr.shape)
+        stacked = _model_with(model, name, stack)
+        trace = forward_batch(stacked, X, hyper, mode=mode)
+        totals = loss_value(trace, stacked, hyper, X)
+        assert stacked.replicas == (r,) and totals.shape == (r,)
+        for i in range(r):
+            solo = _model_with(model, name, stack[i])
+            t = forward_batch(solo, X, hyper, mode=mode)
+            assert loss_value(t, solo, hyper, X) == totals[i]
+            for field in ("h", "bn_out", "z", "z_star", "y", "x_hat", "c_recon"):
+                solo_field = getattr(t, field)
+                np.testing.assert_array_equal(
+                    np.broadcast_to(getattr(trace, field), (r,) + solo_field.shape)[i],
+                    solo_field)
+
+
+def test_stacked_model_has_no_backward_and_no_checkpoint(tmp_path):
+    rng = np.random.default_rng(20)
+    model = _toy_model(rng)
+    X = rng.uniform(0.1, 1.0, (4, 12))
+    hyper = HyperParams()
+    stacked = _model_with(model, "rho", np.stack([model.rho, model.rho + 0.1]))
+    trace = forward_batch(stacked, X, hyper, mode="train")
+    with pytest.raises(ValueError, match="unstacked"):
+        loss(trace, stacked, hyper, X)
+    with pytest.raises(ValueError, match="unstacked"):
+        loss(trace, model, hyper, X)
+    with pytest.raises(ValueError, match="stacked"):
+        stacked.save(tmp_path / "m.endn")
+    assert not (tmp_path / "m.endn").exists()
+    # replica axes must broadcast; the trailing shapes must agree
+    with pytest.raises(ValueError):
+        EndNetModel(np.ones((2, 3, 12)), np.ones((3, 3)), model.w_dec)
+    with pytest.raises(ValueError):
+        EndNetModel(model.w_enc, np.ones((2, 4)), model.w_dec)
+
+
+def test_check_full_loss_one_stacked_call_per_array(monkeypatch):
+    calls = []
+    real_forward, real_loss_value = net.forward_batch, net.loss_value
+
+    def forward_spy(model, *args, **kwargs):
+        calls.append(("forward_batch", model.replicas))
+        return real_forward(model, *args, **kwargs)
+
+    def loss_value_spy(trace, model, *args, **kwargs):
+        calls.append(("loss_value", model.replicas))
+        return real_loss_value(trace, model, *args, **kwargs)
+
+    monkeypatch.setattr(net, "forward_batch", forward_spy)
+    monkeypatch.setattr(net, "loss_value", loss_value_spy)
+    check_full_loss(np.random.default_rng(21), d=5, k=3, n=4)
+    # 2P replicas: w_enc and w_dec hold 15 elements each, rho 3
+    assert [c for c in calls if c[1]] == [
+        ("forward_batch", (30,)), ("loss_value", (30,)),
+        ("forward_batch", (6,)), ("loss_value", (6,)),
+        ("forward_batch", (30,)), ("loss_value", (30,))]
+
+
+def _central_diff_loop(f, arr, step=FD_STEP):
+    """The per-element oracle: f evaluated on arr itself, one element moved at a time."""
+    arr = np.array(arr, dtype=np.float64)
+    grad = np.zeros_like(arr)
+    it = np.nditer(arr, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = arr[idx]
+        h = step * max(1.0, abs(orig))
+        arr[idx] = orig + h
+        fp = f(arr)
+        arr[idx] = orig - h
+        fm = f(arr)
+        arr[idx] = orig
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("check", [check_sad, check_batchnorm, check_full_loss])
+def test_stacked_central_diff_matches_the_per_element_loop(check, monkeypatch):
+    """Each stacked FD array equals the loop over unstacked evaluations, bit for bit."""
+    seen = []
+    real = gradcheck._central_diff
+
+    def spy(f, arr):
+        # f may close over loop variables of the check: take the oracle now
+        seen.append((real(f, arr), _central_diff_loop(f, arr)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(gradcheck, "_central_diff", spy)
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        check(rng)
+    # sad: every-pair and paired; batchnorm: H and rho; full_loss: 3 arrays
+    assert len(seen) == {check_sad: 20, check_batchnorm: 20, check_full_loss: 30}[check]
+    for stacked, oracle in seen:
+        np.testing.assert_array_equal(stacked, oracle)
 
 
 def test_rel_error_floor():
