@@ -17,6 +17,7 @@ work on a single, unstacked model.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -49,13 +50,18 @@ class HyperParams:
     theta_clip: float = 1e-7
 
     def validate(self, k=None):
+        """Raise ValueError, naming the field, on an out-of-range or non-finite value."""
         for name in ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not 0.0 < self.dropout_p <= 1.0:
             raise ValueError("dropout_p must lie in (0, 1]")
         if self.top_n < 1 or (k is not None and self.top_n > k):
             raise ValueError("top_n must lie in [1, k]")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 0.0 < self.theta_clip < 1.0:
+            raise ValueError("theta_clip must lie in (0, 1)")
 
 
 class EndNetModel:
@@ -188,19 +194,21 @@ def angle(A, B, theta_clip, paired=False):
         dot = A @ B.swapaxes(-1, -2)
         cos = dot / (a_norm[..., :, None] * b_norm[..., None, :])
     clipped = np.abs(cos) >= 1.0 - theta_clip
-    theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
+    theta = np.minimum(np.maximum(cos, -1.0 + theta_clip), 1.0 - theta_clip)
     return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta))
 
 
 def _row_norms(A):
     """``np.linalg.norm(A, axis=-1)`` taken ``_NORM_BLOCK`` rows at a time.
 
-    Each row reduces alone, so the result is bit-identical to one call,
+    The same ``sqrt(add.reduce(a * a))`` that ``norm`` evaluates, and each
+    row reduces alone, so the result is bit-identical to one ``norm`` call,
     without its squared copy of the whole of A.
     """
     out = np.empty(A.shape[:-1])
     for i in range(0, A.shape[-2], _NORM_BLOCK):
-        out[..., i:i + _NORM_BLOCK] = np.linalg.norm(A[..., i:i + _NORM_BLOCK, :], axis=-1)
+        blk = A[..., i:i + _NORM_BLOCK, :]
+        np.sqrt(np.add.reduce(blk * blk, axis=-1), out=out[..., i:i + _NORM_BLOCK])
     return out
 
 
@@ -246,20 +254,24 @@ def batchnorm_forward(H, rho, eps=1e-8, mode="train", run_stats=None):
     """Shift-only batch normalization: (h - mu)/sqrt(var + eps) + rho.
 
     Train mode computes per-column statistics over the mini-batch (the
-    row axis, -2) and returns them; infer mode uses the supplied running
-    statistics.  rho is (..., K).  Returns (out, mean, var, centered).
+    row axis, -2) and returns them, bit-identical to ``H.mean(-2)`` and
+    ``H.var(-2)``; infer mode uses the supplied running statistics.  rho is
+    (..., K).  Returns (out, mean, var, centered).
     """
     H = np.asarray(H, dtype=np.float64)
     if mode == "train":
-        if H.shape[-2] < 2:
+        n = H.shape[-2]
+        if n < 2:
             raise ValueError("train-mode batch norm needs at least two samples")
-        mean = H.mean(axis=-2)
-        var = H.var(axis=-2)
+        mean = np.add.reduce(H, axis=-2) / n
+        diff = H - mean[..., None, :]
+        var = np.add.reduce(diff * diff, axis=-2) / n
     elif mode == "infer":
         mean, var = run_stats
+        diff = H - mean[..., None, :]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    centered = (H - mean[..., None, :]) / np.sqrt(var + eps)[..., None, :]
+    centered = diff / np.sqrt(var + eps)[..., None, :]
     return centered + np.asarray(rho)[..., None, :], mean, var, centered
 
 
@@ -295,13 +307,17 @@ def relu_topn_l1(z_pre, dropout_mask, top_n, eps=1e-8):
 
 
 def _topn_mask(z, top_n):
-    """Boolean mask of the top_n largest entries per row; stable tie-break."""
-    if top_n >= z.shape[-1]:
+    """Boolean mask of the top_n largest entries per row; stable tie-break.
+
+    The rows of any leading axes are set through one 2-D fancy index.
+    """
+    k = z.shape[-1]
+    if top_n >= k:
         return np.ones_like(z, dtype=bool)
-    order = np.argsort(-z, axis=-1, kind="stable")
-    mask = np.zeros_like(z, dtype=bool)
-    np.put_along_axis(mask, order[..., :top_n], True, axis=-1)
-    return mask
+    order = np.argsort(-z, axis=-1, kind="stable").reshape(-1, k)
+    mask = np.zeros(order.shape, dtype=bool)
+    mask[np.arange(len(order))[:, None], order[:, :top_n]] = True
+    return mask.reshape(z.shape)
 
 
 def l1norm_backward(d_y, z_star, y, eps=1e-8):
@@ -404,8 +420,8 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     trace.c_recon = c
 
     recon = hyper.lambda0 * 0.5 * np.sum(diff * diff, axis=(-2, -1)) / n
-    kl = hyper.lambda1 * np.mean(-np.log(c + hyper.eps), axis=-1)
-    sparsity = hyper.lambda2 * np.mean(trace.z.sum(axis=-1), axis=-1)
+    kl = hyper.lambda1 * (np.add.reduce(-np.log(c + hyper.eps), axis=-1) / n)
+    sparsity = hyper.lambda2 * (np.add.reduce(trace.z.sum(axis=-1), axis=-1) / n)
     reg = (hyper.lambda3 * np.sum(model.w_enc ** 2, axis=(-2, -1))
            + hyper.lambda4 * np.sum(model.w_dec ** 2, axis=(-2, -1))
            + hyper.lambda5 * np.sum(model.rho ** 2, axis=-1))

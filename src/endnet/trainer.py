@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +29,24 @@ class TrainConfig:
     log_every: int = 1000
 
     def validate(self):
+        """Raise ValueError, naming the field, on an out-of-range or non-finite value."""
+        if self.iters < 1:
+            raise ValueError("iters must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
         if not 0.0 <= self.corrupt_mask_frac <= 1.0:
             raise ValueError("corrupt_mask_frac must lie in [0, 1]")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError("beta1 must lie in [0, 1)")
-        if self.iters < 1 or self.lr <= 0:
-            raise ValueError("iters and lr must be positive")
+        if self.corrupt_sigma is not None and not 0.0 <= self.corrupt_sigma < math.inf:
+            raise ValueError("corrupt_sigma must be nonnegative and finite")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
 
 
 @dataclass
@@ -76,37 +87,79 @@ def corrupt(x, mask_frac, sigma, rng):
         # keep the rng stream identical whether or not noise lands
         return x_tilde
     n = x_tilde.size // d
-    m = rng.integers(0, max_m + 1, size=(n, 1))
+    m = rng.integers(0, max_m + 1, size=n)
     keys = rng.random((n, d))
-    # a row's m smallest keys are the ones at or below its m-th smallest
-    kth = np.take_along_axis(np.sort(keys, axis=1), np.maximum(m - 1, 0), axis=1)
-    hit = np.flatnonzero((keys <= kth) & (m > 0))
+    # a row's m smallest keys are the ones at or below its m-th smallest;
+    # a row with m = 0 compares against -1, below every key
+    kth = np.sort(keys, axis=1)[np.arange(n), m - 1]
+    kth[m == 0] = -1.0
+    hit = np.flatnonzero(keys <= kth[:, None])
     x_tilde.reshape(-1)[hit] += rng.normal(0.0, sigma, hit.size)
     return x_tilde
 
 
+# leaves of the pairwise sum in _noise_scale; the size of its one buffer
+_STD_LEAF = 1 << 16
+
+
+def _noise_scale(X):
+    """``float(X.std())`` of a C-contiguous float64 array, bit for bit,
+    without the N x D temporary that ``std`` builds.
+
+    NumPy sums a contiguous array pairwise over its whole length, halving a
+    part of n elements at n2 = n//2 - (n//2) % 8.  The squared deviations
+    follow the same splits down to leaves of at most ``_STD_LEAF`` elements,
+    and the leaf sums add up in the same tree order.  Every leaf reuses one
+    buffer, which stays in cache.
+    """
+    flat = X.reshape(-1)
+    mean = np.add.reduce(flat) / flat.size
+    buf = np.empty(min(flat.size, _STD_LEAF))
+    return float(np.sqrt(_sum_sq_dev(flat, mean, buf) / flat.size))
+
+
+def _sum_sq_dev(part, mean, buf):
+    """Sum of (part - mean)**2 in NumPy's pairwise order, each leaf squared in buf."""
+    n = part.size
+    if n <= _STD_LEAF:
+        d = np.subtract(part, mean, out=buf[:n])
+        return np.add.reduce(np.multiply(d, d, out=d))
+    n2 = n // 2 - (n // 2) % 8
+    return _sum_sq_dev(part[:n2], mean, buf) + _sum_sq_dev(part[n2:], mean, buf)
+
+
 class AdamState:
-    """First/second moment accumulators for a dict of parameter arrays."""
+    """First/second moment accumulators for one flat parameter vector."""
 
     def __init__(self, params):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
 
 def adam_step(params, grads, state, lr, beta1=0.7, beta2=0.999, adam_eps=1e-8):
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update of a parameter array, applied in place."""
     state.t += 1
     t = state.t
+    if not np.isfinite(grads).all():
+        raise NumericalDivergence("non-finite gradient")
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    params -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + adam_eps)
+
+
+def _flat_params(model):
+    """Rebind the model's trainable arrays as views of one flat vector; returns it."""
+    params = model.params()
+    flat = np.concatenate([p.reshape(-1) for p in params.values()])
+    start = 0
     for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericalDivergence(f"non-finite gradient for {name}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+        setattr(model, name, flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return flat
 
 
 def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
@@ -120,11 +173,13 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     pixels = cube.data
     n = pixels.shape[0]
     model = EndNetModel.from_endmembers(init.endmembers.rows)
-    state = AdamState(model.params())
+    flat = _flat_params(model)
+    names = list(model.params())
+    state = AdamState(flat)
     rng = np.random.default_rng(cfg.seed)
     sigma = cfg.corrupt_sigma
     if sigma is None:
-        sigma = 0.1 * float(pixels.std())
+        sigma = 0.1 * _noise_scale(pixels)
     log = TrainLog()
 
     for it in range(1, cfg.iters + 1):
@@ -135,8 +190,8 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
         model.update_run_stats(trace.bn_mean, trace.bn_var)
         try:
             loss_val, grads = loss(trace, model, cfg.hyper, clean)
-            adam_step(model.params(), grads, state, cfg.lr,
-                      cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(flat, np.concatenate([grads[k].reshape(-1) for k in names]),
+                      state, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         except NumericalDivergence as exc:
             raise NumericalDivergence(f"iteration {it}: {exc}") from exc
 

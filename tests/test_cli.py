@@ -136,6 +136,19 @@ def test_exit_code_bad_config(scene_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
+    ("--corrupt-sigma", "nan", "corrupt_sigma"), ("--corrupt-sigma", "-0.1", "corrupt_sigma"),
+    ("--lambda1", "nan", "lambda1")])
+def test_exit_code_bad_value_names_its_field(scene_dir, tmp_path, capsys, flag, value, field):
+    # a config fault exits 2 with one line, not 3 ("loss is non-finite")
+    rc = main(["extract", "--input", str(scene_dir / "cube.csv"), "--k", "3",
+               *_FAST_TRAIN, flag, value, "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+
+
 def test_exit_code_k_too_large(scene_dir, tmp_path, capsys):
     rc = main(["eval", "--gt-spectra", str(scene_dir / "endmembers.csv"),
                "--repeats", "2", "--out-prefix", str(tmp_path / "x")])

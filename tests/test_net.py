@@ -65,6 +65,11 @@ def test_angle_row_norms_in_blocks_match_one_call():
     ang = angle(A, A[:2], THETA_CLIP)
     np.testing.assert_array_equal(ang.a_norm, np.linalg.norm(A, axis=1))
     assert angle(np.empty((0, 7)), A[:2], THETA_CLIP).s.shape == (0, 2)
+    # with replica axes, and values spread over decades
+    rng = np.random.default_rng(17)
+    for shape in [(2, 3, net._NORM_BLOCK + 5, 7), (4, 1, 9), (3, 0, 2)]:
+        A = rng.lognormal(0.0, 2.0, shape)
+        assert np.array_equal(net._row_norms(A), np.linalg.norm(A, axis=-1))
 
 
 def test_sad_grad_zero_at_clamp():
@@ -145,6 +150,19 @@ def test_bn_train_needs_two_samples():
         batchnorm_forward(np.ones((1, 3)), np.zeros(3))
 
 
+def test_bn_statistics_equal_numpy_mean_and_var():
+    rng = np.random.default_rng(18)
+    for shape in [(3, 2, 64, 5), (7, 4), (2, 1000, 3)]:
+        H = rng.lognormal(0.0, 1.0, shape)
+        rho = rng.normal(size=shape[:-2] + shape[-1:])
+        out, mean, var, centered = batchnorm_forward(H, rho)
+        assert np.array_equal(mean, H.mean(axis=-2))
+        assert np.array_equal(var, H.var(axis=-2))
+        ref = (H - H.mean(axis=-2, keepdims=True)) / np.sqrt(H.var(axis=-2, keepdims=True) + 1e-8)
+        assert np.array_equal(centered, ref)
+        assert np.array_equal(out, ref + rho[..., None, :])
+
+
 def test_bn_backward_finite_difference():
     rng = np.random.default_rng(3)
     assert check_batchnorm(rng, n=4, k=3) < 1e-5
@@ -179,6 +197,25 @@ def test_topn_tie_lower_index():
     _, z_star, y = relu_topn_l1([1.0, 1.0, 0.0], 1.0, top_n=1)
     np.testing.assert_array_equal(z_star[0], [1, 0, 0])
     np.testing.assert_allclose(y[0], [1, 0, 0], atol=1e-8)
+
+
+def _topn_mask_put_along_axis(z, top_n):
+    mask = np.zeros_like(z, dtype=bool)
+    order = np.argsort(-z, axis=-1, kind="stable")
+    np.put_along_axis(mask, order[..., :top_n], True, axis=-1)
+    return mask
+
+
+def test_topn_mask_equals_put_along_axis_on_ties_and_signed_zeros():
+    rng = np.random.default_rng(19)
+    # few distinct values: many ties, and 0.0 mixed with -0.0
+    z = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(3, 2, 500, 5))
+    for top_n in range(1, 5):
+        assert np.array_equal(net._topn_mask(z, top_n), _topn_mask_put_along_axis(z, top_n))
+    assert net._topn_mask(z, 5).all()
+    # -0.0 and 0.0 tie, so the lower index wins either way
+    assert np.array_equal(net._topn_mask(np.array([[-0.0, 0.0, -1.0]]), 1), [[True, False, False]])
+    assert np.array_equal(net._topn_mask(np.array([[0.0, -0.0, -1.0]]), 1), [[True, False, False]])
 
 
 def test_dropout_mask_applied():
@@ -298,6 +335,14 @@ def test_hyperparams_validation():
         HyperParams(dropout_p=0.0).validate()
     with pytest.raises(ValueError):
         HyperParams(top_n=4).validate(k=3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda0", np.inf), ("lambda1", np.nan), ("lambda5", np.nan), ("dropout_p", np.nan),
+    ("eps", np.nan), ("eps", 0.0), ("theta_clip", np.nan), ("theta_clip", 1.0)])
+def test_hyperparams_reject_non_finite_and_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        HyperParams(**{field: value}).validate()
 
 
 # --- loss -------------------------------------------------------------------

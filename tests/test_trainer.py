@@ -1,10 +1,13 @@
 """Corruption, Adam, and the deterministic training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from endnet import TrainConfig, adam_step, corrupt, train, trainer
+from endnet import (EndNetModel, HyperParams, TrainConfig, adam_step, corrupt, net,
+                    train, trainer)
 from endnet.errors import NumericalDivergence
 from endnet.trainer import AdamState
 
@@ -94,40 +97,65 @@ def test_corrupt_keeps_the_input_shape():
     assert (out != 0.0).all(axis=1).any()
 
 
+# --- noise scale ------------------------------------------------------------
+
+LEAF = trainer._STD_LEAF
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (3, 5), (7, 13), (LEAF - 1, 1), (LEAF, 1), (LEAF + 1, 1), (LEAF // 8 + 1, 8),
+    (2 * LEAF + 3, 1), (257, 511), (LEAF + 7, 3), (20000, 50)])
+def test_noise_scale_equals_numpy_std(shape):
+    # values spread over decades, so a different summation order shows
+    X = np.random.default_rng(sum(shape)).lognormal(0.0, 3.0, shape)
+    assert trainer._noise_scale(X) == float(X.std())
+
+
+def test_noise_scale_holds_no_copy_of_the_cube():
+    X = np.random.default_rng(20).random((20000, 50))
+    tracemalloc.start()
+    try:
+        trainer._noise_scale(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
+
+
 # --- Adam -------------------------------------------------------------------
 
 def test_adam_zero_gradient_fixed_point():
-    params = {"w": np.array([1.0, -2.0])}
+    params = np.array([1.0, -2.0])
     state = AdamState(params)
-    adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+    adam_step(params, np.zeros(2), state, lr=0.1)
+    np.testing.assert_array_equal(params, [1.0, -2.0])
 
 
 def test_adam_unit_step_property():
     # under a constant gradient the bias-corrected step tends to lr
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = AdamState(params)
-    g = {"w": np.array([3.7])}
-    prev = params["w"].copy()
+    g = np.array([3.7])
+    prev = params.copy()
     for _ in range(200):
-        prev = params["w"].copy()
+        prev = params.copy()
         adam_step(params, g, state, lr=0.01)
-    assert abs(abs(params["w"][0] - prev[0]) - 0.01) < 1e-4
+    assert abs(abs(params[0] - prev[0]) - 0.01) < 1e-4
 
 
 def test_adam_scalar_quadratic_converges():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = AdamState(params)
     for _ in range(200):
-        adam_step(params, {"w": 2.0 * params["w"]}, state, lr=0.1)
-    assert abs(params["w"][0]) < 0.01
+        adam_step(params, 2.0 * params, state, lr=0.1)
+    assert abs(params[0]) < 0.01
 
 
 def test_adam_nonfinite_gradient():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = AdamState(params)
     with pytest.raises(NumericalDivergence):
-        adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
+        adam_step(params, np.array([np.nan]), state, lr=0.1)
 
 
 # --- training loop ----------------------------------------------------------
@@ -236,3 +264,145 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
 
     assert log.recon_sad == [pytest.approx(mean_angle(clean), rel=0, abs=1e-12)]
     assert abs(mean_angle(noisy) - mean_angle(clean)) > 1e-6
+
+
+# --- configuration ----------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("log_every", 0), ("beta2", 1.0), ("beta2", np.nan), ("beta1", np.nan),
+    ("lr", np.nan), ("lr", np.inf), ("adam_eps", np.nan),
+    ("corrupt_sigma", np.nan), ("corrupt_sigma", -0.1), ("corrupt_sigma", np.inf)])
+def test_config_rejects_out_of_range_and_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_train_rejects_log_every_zero_before_training(small_scene, small_init):
+    cube, _, _ = small_scene
+    with pytest.raises(ValueError, match="^log_every "):
+        train(cube, small_init, TrainConfig(iters=5, log_every=0))
+
+
+# --- bit identity against the plain NumPy step ------------------------------
+
+def _ref_angle(A, B, theta_clip, paired=False):
+    a_norm, b_norm = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+    if paired:
+        dot = np.einsum("ij,ij->i", A, B)
+        cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
+    else:
+        dot = A @ B.T
+        cos = dot / np.outer(a_norm, b_norm)
+    theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
+    return net.Angle(A, B, a_norm, b_norm, dot, cos, theta,
+                     np.abs(cos) >= 1.0 - theta_clip, np.arccos(theta))
+
+
+def _ref_corrupt(x, mask_frac, sigma, rng):
+    d = x.shape[1]
+    max_m = int(np.floor(mask_frac * d))
+    out = x.copy()
+    if max_m == 0 or sigma == 0.0:
+        return out
+    m = rng.integers(0, max_m + 1, size=(len(x), 1))
+    keys = rng.random(x.shape)
+    kth = np.take_along_axis(np.sort(keys, axis=1), np.maximum(m - 1, 0), axis=1)
+    hit = np.flatnonzero((keys <= kth) & (m > 0))
+    out.reshape(-1)[hit] += rng.normal(0.0, sigma, hit.size)
+    return out
+
+
+def _reference_train(cube, init, cfg):
+    """``train`` written with the plain NumPy forms of every step.
+
+    ``np.linalg.norm``, ``np.clip``, ``H.mean``/``H.var``, the
+    ``put_along_axis`` top-n, ``np.mean``, per-parameter Adam and
+    ``pixels.std()``; returns (checkpoint model, log rows).
+    """
+    hp, pixels = cfg.hyper, cube.data
+    e = init.endmembers.rows
+    params = {"w_enc": e.copy(), "rho": np.zeros(len(e)), "w_dec": e.T.copy()}
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    run_mean = run_var = None
+    rng = np.random.default_rng(cfg.seed)
+    sigma = 0.1 * float(pixels.std()) if cfg.corrupt_sigma is None else cfg.corrupt_sigma
+    rows = []
+    for it in range(1, cfg.iters + 1):
+        w_enc, rho, w_dec = params["w_enc"], params["rho"], params["w_dec"]
+        clean = pixels[rng.integers(0, len(pixels), size=cfg.batch_size)]
+        noisy = _ref_corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
+        n = len(clean)
+        # forward
+        enc = _ref_angle(noisy, w_enc, hp.theta_clip)
+        h = 1.0 - enc.s / np.pi
+        mean, var = h.mean(axis=0), h.var(axis=0)
+        centered = (h - mean) / np.sqrt(var + hp.eps)
+        bn_out = centered + rho
+        if hp.dropout_p < 1.0:
+            r = (rng.random(bn_out.shape) < hp.dropout_p) / hp.dropout_p
+        else:
+            r = np.ones_like(bn_out)
+        z = r * (bn_out * (bn_out > 0.0))
+        mask = np.ones_like(z, dtype=bool)
+        if hp.top_n < z.shape[1]:
+            mask[:] = False
+            order = np.argsort(-z, axis=1, kind="stable")
+            np.put_along_axis(mask, order[:, :hp.top_n], True, axis=1)
+        z_star = z * mask
+        y = z_star / (z_star.sum(axis=1) + hp.eps)[:, None]
+        if run_mean is None:
+            run_mean, run_var = mean.copy(), var.copy()
+        else:
+            run_mean = net.BN_MOMENTUM * run_mean + (1.0 - net.BN_MOMENTUM) * mean
+            run_var = net.BN_MOMENTUM * run_var + (1.0 - net.BN_MOMENTUM) * var
+        # loss
+        x_hat = y @ w_dec.T
+        diff = x_hat - clean
+        rec = _ref_angle(clean, x_hat, hp.theta_clip, paired=True)
+        ok = rec.b_norm > 0.0
+        c = np.where(ok, 1.0 - rec.s / np.pi, 0.0)
+        reg = (hp.lambda3 * np.sum(w_enc ** 2) + hp.lambda4 * np.sum(w_dec ** 2)
+               + hp.lambda5 * np.sum(rho ** 2))
+        total = (hp.lambda0 * 0.5 * np.sum(diff * diff) / n
+                 + hp.lambda1 * np.mean(-np.log(c + hp.eps))
+                 + hp.lambda2 * np.mean(z.sum(axis=1)) + reg)
+        dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + hp.eps)), 0.0)
+        d_xhat = hp.lambda0 * diff / n + net.angle_backward(rec, dkl_dc)
+        d_y = d_xhat @ w_dec
+        dz = net.l1norm_backward(d_y, z_star, y, hp.eps) + (hp.lambda2 / n) * (z > 0.0)
+        d_bn = dz * r * (bn_out > 0.0)
+        d_h, g_sum = net.batchnorm_backward(d_bn, var, centered, hp.eps)
+        grads = {"w_enc": net.angle_backward(enc, d_h) + 2.0 * hp.lambda3 * w_enc,
+                 "rho": g_sum + 2.0 * hp.lambda5 * rho,
+                 "w_dec": d_xhat.T @ y + 2.0 * hp.lambda4 * w_dec}
+        # Adam
+        for name, p in params.items():
+            g = grads[name]
+            adam_m[name] = cfg.beta1 * adam_m[name] + (1.0 - cfg.beta1) * g
+            adam_v[name] = cfg.beta2 * adam_v[name] + (1.0 - cfg.beta2) * g * g
+            m_hat = adam_m[name] / (1.0 - cfg.beta1 ** it)
+            v_hat = adam_v[name] / (1.0 - cfg.beta2 ** it)
+            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if it == 1 or it % cfg.log_every == 0 or it == cfg.iters:
+            rows.append((float(total), float(z.sum(axis=1).mean()),
+                         float(np.mean(np.pi * (1.0 - c)))))
+    model = EndNetModel(params["w_enc"], params["rho"], params["w_dec"], run_mean, run_var)
+    return model, rows
+
+
+@pytest.mark.parametrize("seed, hyper", [
+    (0, {}), (1, {}), (2, {}), (1, {"dropout_p": 0.5}), (2, {"top_n": 3})])
+def test_train_bit_identical_to_the_reference_step(small_scene, small_init, tmp_path,
+                                                   seed, hyper):
+    # kills e.g. squaring with einsum in the row norms, a mean taken as
+    # sum * (1/n), or a noise-scale split that differs from NumPy's
+    cube, _, _ = small_scene
+    cfg = TrainConfig(iters=150, batch_size=40, seed=seed, log_every=50,
+                      hyper=HyperParams(**hyper))
+    model, log = train(cube, small_init, cfg)
+    ref, rows = _reference_train(cube, small_init, cfg)
+    model.save(tmp_path / "train.endn")
+    ref.save(tmp_path / "ref.endn")
+    assert (tmp_path / "train.endn").read_bytes() == (tmp_path / "ref.endn").read_bytes()
+    assert list(zip(log.losses, log.z_l1, log.recon_sad)) == rows
