@@ -123,45 +123,95 @@ def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
     return simplex_project(d2_ee, d2_ep[0] if pixels.ndim == 1 else d2_ep, k)
 
 
+class _EndmemberSet:
+    """The pixel-independent part of ``fcls`` for one K x D endmember matrix.
+
+    Holds the Gram matrix E E^T and, filled as the active-set iteration
+    first reaches each free set, that set's KKT system.  Constructing one
+    raises DegenerateSimplex on linearly dependent endmembers.
+    """
+
+    def __init__(self, E):
+        if np.linalg.matrix_rank(E) < E.shape[0]:
+            raise DegenerateSimplex("endmembers are linearly dependent")
+        self.k = E.shape[0]
+        self.gram = E @ E.T
+        self._systems = {}
+
+    def system(self, free):
+        """(idx, rhs_rows, kkt, clamped) of the free set given as a bit mask.
+
+        ``idx`` and ``clamped`` are the free and clamped variables,
+        ``rhs_rows`` picks the free rows and the sum-to-one row out of
+        [2 E x, 1], and ``kkt`` is the bordered matrix [[2 G_ff, 1], [1, 0]].
+        """
+        found = self._systems.get(free)
+        if found is None:
+            mask = np.array([free >> j & 1 for j in range(self.k)], dtype=bool)
+            idx = np.flatnonzero(mask)
+            m = idx.size
+            kkt = np.zeros((m + 1, m + 1))
+            kkt[:m, :m] = 2.0 * self.gram[np.ix_(idx, idx)]
+            kkt[:m, m] = 1.0
+            kkt[m, :m] = 1.0
+            found = (idx, np.append(idx, self.k), kkt, np.flatnonzero(~mask))
+            self._systems[free] = found
+        return found
+
+
+_last_set = (None, None)  # (key, _EndmemberSet) of the last endmember matrix fcls saw
+
+
+def _endmember_set(E):
+    """The _EndmemberSet of E, rebuilt only when E's shape, dtype or bytes change."""
+    global _last_set
+    key = (E.shape, E.dtype, E.tobytes())
+    last_key, found = _last_set
+    if last_key != key:
+        found = _EndmemberSet(E)
+        _last_set = (key, found)
+    return found
+
+
 def fcls(pixel, endmembers):
     """Fully constrained least squares: min ||x - E^T a||^2, a >= 0, sum a = 1.
 
     Active-set iteration on the KKT system of the convex problem; returns
-    the global optimum.
+    the global optimum.  The rank check, the Gram matrix and the KKT
+    matrix of each free set depend only on the endmembers: they are kept
+    for the last endmember matrix seen, so a run of pixels unmixed against
+    one matrix pays them once, and a pixel pays ``E @ x`` and its solves.
     """
     E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else np.atleast_2d(endmembers)
-    k, d = E.shape
+    k, _ = E.shape
     x = np.asarray(pixel, dtype=np.float64)
     if k == 1:
         return np.array([1.0])
-    if np.linalg.matrix_rank(E) < k:
-        raise DegenerateSimplex("endmembers are linearly dependent")
-    gram = E @ E.T
+    es = _endmember_set(E)
+    gram = es.gram
     ex = E @ x
+    b = np.empty(k + 1)  # [2 E x, 1]: every free set's right-hand side is a pick of its rows
+    np.multiply(ex, 2.0, out=b[:k])
+    b[k] = 1.0
 
-    free = np.ones(k, dtype=bool)
+    free = (1 << k) - 1  # bit j set: variable j is free
     for _ in range(4 * k + 8):
-        idx = np.flatnonzero(free)
-        m = idx.size
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = 2.0 * gram[np.ix_(idx, idx)]
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        rhs = np.append(2.0 * ex[idx], 1.0)
-        sol = np.linalg.solve(kkt, rhs)
-        a_free, lam = sol[:m], sol[m]
-        if a_free.min() < -1e-12:
-            free[idx[int(np.argmin(a_free))]] = False
+        idx, rhs_rows, kkt, clamped = es.system(free)
+        sol = np.linalg.solve(kkt, b[rhs_rows])
+        a_free, lam = sol[:-1], sol[-1]
+        j = int(a_free.argmin())
+        if a_free[j] < -1e-12:
+            free &= ~(1 << int(idx[j]))
             continue
         a = np.zeros(k)
         a[idx] = np.maximum(a_free, 0.0)
-        # KKT multipliers of the clamped variables must be nonnegative
-        grad = 2.0 * (gram @ a - ex)
-        mu = grad + lam
-        clamped = np.flatnonzero(~free)
-        if clamped.size and mu[clamped].min() < -1e-9:
-            free[clamped[int(np.argmin(mu[clamped]))]] = True
-            continue
+        if clamped.size:
+            # KKT multipliers of the clamped variables must be nonnegative
+            mu = 2.0 * (gram @ a - ex) + lam
+            j = int(mu[clamped].argmin())
+            if mu[clamped[j]] < -1e-9:
+                free |= 1 << int(clamped[j])
+                continue
         a /= a.sum()
         return a
     raise RuntimeError("fcls active-set iteration did not converge")

@@ -42,14 +42,18 @@ def _add_hyper_flags(p):
 
 
 def _train_config(args):
+    """The validated TrainConfig of the flags: a bad flag fails before any file is read."""
     hyper = HyperParams(
         lambda0=args.lambda0, lambda1=args.lambda1, lambda2=args.lambda2,
         lambda3=args.lambda3, lambda4=args.lambda4, lambda5=args.lambda5,
         dropout_p=args.dropout, top_n=args.top_n)
-    return TrainConfig(
+    cfg = TrainConfig(
         iters=args.iters, lr=args.lr, batch_size=args.batch, beta1=args.beta1,
         hyper=hyper, corrupt_mask_frac=args.mask_noise,
         corrupt_sigma=args.corrupt_sigma, seed=args.seed)
+    cfg.validate()
+    hyper.validate(args.k)
+    return cfg
 
 
 def _run_init(cube, k, method, seed):
@@ -58,17 +62,15 @@ def _run_init(cube, k, method, seed):
     return initializers.dmaxd(cube, k)
 
 
-def _extract_once(args, seed):
+def _extract_once(args, cfg):
     cube = data_io.normalize_cube(data_io.load_cube(args.input))
-    init = _run_init(cube, args.k, args.init, seed)
-    cfg = _train_config(args)
-    cfg.seed = seed
+    init = _run_init(cube, args.k, args.init, cfg.seed)
     model, log = train(cube, init, cfg)
     return cube, model, log
 
 
 def cmd_extract(args):
-    cube, model, log = _extract_once(args, args.seed)
+    cube, model, log = _extract_once(args, _train_config(args))
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     model.save(f"{prefix}.endn")
@@ -113,12 +115,13 @@ def _eval_single(args):
 
 
 def _eval_repeats(args):
+    cfg = _train_config(args)
     gt = data_io.load_spectra_csv(args.gt_spectra)
     gt_ab = data_io.load_abundance_csv(args.gt_abund) if args.gt_abund else None
     sads, rmses = [], []
     for r in range(args.repeats):
-        seed = args.seed + r
-        cube, model, _ = _extract_once(args, seed)
+        cfg.seed = args.seed + r
+        cube, model, _ = _extract_once(args, cfg)
         est = SpectraMatrix(model.endmembers())
         est_ab = abundance.estimate_abundances(model, cube, method=args.method) \
             if gt_ab is not None else None

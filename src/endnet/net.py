@@ -396,7 +396,9 @@ def loss(trace, model, hyper, target):
     against (the forward pass may have seen a corrupted version).  Both
     this and ``loss_value`` store the decoder output in ``trace.x_hat`` and
     the per-sample C(target, x_hat) in ``trace.c_recon``.  Gradients need
-    a train-mode trace of an unstacked model.
+    a train-mode trace of an unstacked model.  A non-finite loss raises
+    NumericalDivergence; the gradients are not scanned here, the
+    optimizer step (``trainer.adam_step``) scans them once.
     """
     if trace.mode != "train":
         raise ValueError("loss gradients need a train-mode trace")
@@ -448,8 +450,4 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
     d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 
-    grads = {"w_enc": d_wenc, "rho": d_rho, "w_dec": d_wdec}
-    for g in grads.values():
-        if not np.isfinite(g).all():
-            raise NumericalDivergence("gradient is non-finite")
-    return total, grads
+    return total, {"w_enc": d_wenc, "rho": d_rho, "w_dec": d_wdec}

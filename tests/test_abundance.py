@@ -150,17 +150,120 @@ def test_fcls_matches_nnls_on_acceptance_scene(noisy_scene):
                                    atol=1e-8)
 
 
-def test_fcls_matches_nnls_on_random_noisy_cases():
-    # noisy mixtures of random k = 2..6 simplices; in 9 of these 3,000 cases
-    # the active set must free a clamped variable again (its KKT multiplier
-    # falls below -1e-9), which no acceptance-scene pixel does
+def _random_noisy_cases():
+    """Noisy mixtures of 3,000 seeded random k = 2..6 simplices: (x, E) pairs."""
     rng = np.random.default_rng(0)
     for _ in range(3000):
         k = int(rng.integers(2, 7))
         d = int(rng.integers(k, 3 * k + 4))
         E = rng.uniform(0.0, 1.0, (k, d))
-        x = rng.dirichlet(np.full(k, 0.5)) @ E + rng.normal(0.0, 0.2, d)
+        yield rng.dirichlet(np.full(k, 0.5)) @ E + rng.normal(0.0, 0.2, d), E
+
+
+def test_fcls_matches_nnls_on_random_noisy_cases():
+    # in 9 of these cases the active set must free a clamped variable again
+    # (its KKT multiplier falls below -1e-9), which no acceptance-scene
+    # pixel does
+    for x, E in _random_noisy_cases():
         np.testing.assert_allclose(fcls(x, E), _fcls_by_nnls(x, E), atol=1e-8)
+
+
+def _fcls_per_pixel_reference(pixel, endmembers, refreed=None):
+    """Per-pixel FCLS: rank check, Gram matrix and every KKT matrix built
+    anew for each pixel, which ``fcls`` must match bit for bit.  Appends to
+    ``refreed`` each time a clamped variable is freed again."""
+    E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else np.atleast_2d(endmembers)
+    k, d = E.shape
+    x = np.asarray(pixel, dtype=np.float64)
+    if k == 1:
+        return np.array([1.0])
+    if np.linalg.matrix_rank(E) < k:
+        raise DegenerateSimplex("endmembers are linearly dependent")
+    gram = E @ E.T
+    ex = E @ x
+
+    free = np.ones(k, dtype=bool)
+    for _ in range(4 * k + 8):
+        idx = np.flatnonzero(free)
+        m = idx.size
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = 2.0 * gram[np.ix_(idx, idx)]
+        kkt[:m, m] = 1.0
+        kkt[m, :m] = 1.0
+        rhs = np.append(2.0 * ex[idx], 1.0)
+        sol = np.linalg.solve(kkt, rhs)
+        a_free, lam = sol[:m], sol[m]
+        if a_free.min() < -1e-12:
+            free[idx[int(np.argmin(a_free))]] = False
+            continue
+        a = np.zeros(k)
+        a[idx] = np.maximum(a_free, 0.0)
+        grad = 2.0 * (gram @ a - ex)
+        mu = grad + lam
+        clamped = np.flatnonzero(~free)
+        if clamped.size and mu[clamped].min() < -1e-9:
+            free[clamped[int(np.argmin(mu[clamped]))]] = True
+            if refreed is not None:
+                refreed.append(x)
+            continue
+        a /= a.sum()
+        return a
+    raise RuntimeError("fcls active-set iteration did not converge")
+
+
+def test_fcls_bit_identical_to_per_pixel_reference_on_acceptance_scene(noisy_scene):
+    cube, endm, _ = noisy_scene
+    for x in cube.data:
+        assert np.array_equal(fcls(x, endm.rows), _fcls_per_pixel_reference(x, endm.rows))
+
+
+def test_fcls_bit_identical_to_per_pixel_reference_on_random_cases():
+    refreed = []
+    for x, E in _random_noisy_cases():
+        assert np.array_equal(fcls(x, E), _fcls_per_pixel_reference(x, E, refreed))
+    assert len(refreed) == 9
+
+
+def test_fcls_sees_endmembers_changed_in_place():
+    E = _random_endmembers(4, 30, 12)
+    x = np.random.default_rng(12).dirichlet(np.ones(4)) @ E + 0.05
+    before = fcls(x, E)
+    E[1] *= 0.5
+    after = fcls(x, E)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _fcls_per_pixel_reference(x, E))
+
+
+def test_fcls_checks_the_rank_of_every_endmember_set():
+    good = _random_endmembers(3, 10, 13)
+    bad = np.vstack([good[0], good[0], good[1]])
+    x = good.mean(axis=0) + 0.1
+    first = fcls(x, good)
+    for _ in range(2):
+        with pytest.raises(DegenerateSimplex):
+            fcls(x, bad)
+    assert np.array_equal(fcls(x, good), first)
+
+
+def test_fcls_keeps_float32_and_float64_endmembers_apart():
+    E32 = _random_endmembers(4, 30, 14).astype(np.float32)
+    E64 = E32.astype(np.float64)  # the same values
+    x = np.random.default_rng(14).dirichlet(np.ones(4)) @ E64 + 0.05
+    want32 = _fcls_per_pixel_reference(x, E32)
+    want64 = _fcls_per_pixel_reference(x, E64)
+    assert not np.array_equal(want32, want64)
+    for E, want in ((E64, want64), (E32, want32), (E64, want64)):
+        assert np.array_equal(fcls(x, E), want)
+
+
+def test_fcls_k1_between_larger_sets():
+    # one endmember admits only a = [1]: no rank check, not even of a zero row
+    E = _random_endmembers(4, 12, 15)
+    x = E.mean(axis=0)
+    first = fcls(x, E)
+    for single in (E[:1], np.zeros((1, 12))):
+        assert np.array_equal(fcls(x, single), [1.0])
+    assert np.array_equal(fcls(x, E), first)
 
 
 def test_spu_l2_matches_fcls_in_simplex():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from endnet import data_io
 from endnet.cli import main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -147,6 +148,22 @@ def test_exit_code_bad_value_names_its_field(scene_dir, tmp_path, capsys, flag, 
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("command", [
+    ["extract"],
+    ["eval", "--gt-spectra", "gt.csv", "--repeats", "2"]])
+def test_bad_flag_fails_before_any_file_is_read(monkeypatch, tmp_path, capsys, command):
+    def unread(path):
+        raise OSError(f"{path} must not be read")
+
+    monkeypatch.setattr(data_io, "load_cube", unread)
+    monkeypatch.setattr(data_io, "load_spectra_csv", unread)
+    rc = main([*command, "--input", "cube.csv", "--k", "3", *_FAST_TRAIN,
+               "--lr", "nan", "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lr ")
 
 
 def test_exit_code_k_too_large(scene_dir, tmp_path, capsys):
