@@ -223,7 +223,7 @@ def hidden_abundances(model, cube: HyperCube, hyper: HyperParams | None = None):
     All-zero activation vectors fall back to uniform 1/K; the occurrence
     count is logged.
     """
-    hyper = hyper or HyperParams(top_n=min(2, model.k))
+    hyper = hyper or HyperParams(top_n=min(HyperParams.top_n, model.k))
     trace = forward_batch(model, cube.data, hyper, mode="infer")
     y = trace.y.copy()
     dead = trace.z_star_sum <= 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,50 +22,34 @@ EXIT_DIVERGENCE = 3
 EXIT_GRADCHECK = 4
 
 
+def _flag_fields(cls):
+    """The fields of a config dataclass with ``help`` metadata: the command-line flags,
+    ``--top-n`` for ``top_n`` unless the metadata names another ``flag``."""
+    return [f for f in dataclasses.fields(cls) if "help" in f.metadata]
+
+
 def _add_hyper_flags(p):
-    p.add_argument("--lr", type=float, default=0.001, help="learning rate")
-    p.add_argument("--batch", type=int, default=64, help="mini-batch size")
-    p.add_argument("--beta1", type=float, default=0.7, help="Adam first-moment decay")
-    p.add_argument("--lambda0", type=float, default=0.01, help="euclidean reconstruction weight")
-    p.add_argument("--lambda1", type=float, default=10.0, help="angular (KL) reconstruction weight")
-    p.add_argument("--lambda2", type=float, default=0.1, help="activation l1 sparsity weight")
-    p.add_argument("--lambda3", type=float, default=1e-5, help="encoder weight decay")
-    p.add_argument("--lambda4", type=float, default=1e-5, help="decoder weight decay")
-    p.add_argument("--lambda5", type=float, default=1e-3, help="shift-parameter weight decay")
-    p.add_argument("--dropout", type=float, default=1.0, help="dropout keep probability p")
-    p.add_argument("--top-n", type=int, default=2, help="hard-selected activation count")
-    p.add_argument("--mask-noise", type=float, default=0.4,
-                   help="max fraction of bands corrupted per sample")
-    p.add_argument("--corrupt-sigma", type=float, default=None,
-                   help="corruption noise std (default: 0.1 * cube std)")
-    p.add_argument("--iters", type=int, default=20000, help="training iterations")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    for f in _flag_fields(TrainConfig) + _flag_fields(HyperParams):
+        # f.type is the annotation, a string under postponed evaluation
+        p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")), dest=f.name,
+                       type=int if f.type in (int, "int") else float, default=f.default,
+                       help=f.metadata["help"])
 
 
 def _train_config(args):
     """The validated TrainConfig of the flags: a bad flag fails before any file is read."""
-    hyper = HyperParams(
-        lambda0=args.lambda0, lambda1=args.lambda1, lambda2=args.lambda2,
-        lambda3=args.lambda3, lambda4=args.lambda4, lambda5=args.lambda5,
-        dropout_p=args.dropout, top_n=args.top_n)
-    cfg = TrainConfig(
-        iters=args.iters, lr=args.lr, batch_size=args.batch, beta1=args.beta1,
-        hyper=hyper, corrupt_mask_frac=args.mask_noise,
-        corrupt_sigma=args.corrupt_sigma, seed=args.seed)
-    cfg.validate()
-    hyper.validate(args.k)
+    def flags(cls):
+        return {f.name: getattr(args, f.name) for f in _flag_fields(cls)}
+
+    cfg = TrainConfig(hyper=HyperParams(**flags(HyperParams)), **flags(TrainConfig))
+    cfg.validate(args.k)
     return cfg
-
-
-def _run_init(cube, k, method, seed):
-    if method == "vca":
-        return initializers.vca(cube, k, seed)
-    return initializers.dmaxd(cube, k)
 
 
 def _extract_once(args, cfg):
     cube = data_io.normalize_cube(data_io.load_cube(args.input))
-    init = _run_init(cube, args.k, args.init, cfg.seed)
+    init = (initializers.vca(cube, args.k, cfg.seed) if args.init == "vca"
+            else initializers.dmaxd(cube, args.k))
     model, log = train(cube, init, cfg)
     return cube, model, log
 
@@ -149,6 +134,8 @@ def _eval_repeats(args):
 
 
 def cmd_eval(args):
+    if args.repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if args.repeats > 1 or args.input:
         if not args.input:
             raise ValueError("--repeats needs --input and training flags")
@@ -187,7 +174,7 @@ def build_parser():
                        help="endmember extraction (init + training)")
     p.add_argument("--input", required=True, help="cube file (CSV or ENVI)")
     p.add_argument("--k", type=int, required=True, help="endmember count")
-    p.add_argument("--init", choices=("vca", "dmaxd"), default="dmaxd")
+    p.add_argument("--init", choices=("vca", "dmaxd"), default="dmaxd", help="seeding method")
     _add_hyper_flags(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_extract)
@@ -196,7 +183,7 @@ def build_parser():
                        help="estimate per-pixel abundances from a checkpoint")
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--method", choices=("spu", "hidden"), default="spu")
+    p.add_argument("--method", choices=("spu", "hidden"), default="spu", help="unmixing method")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_abundances)
 
@@ -212,8 +199,8 @@ def build_parser():
                    help="rerun extract+eval with consecutive seeds")
     p.add_argument("--input", help="cube file (required with --repeats)")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--init", choices=("vca", "dmaxd"), default="dmaxd")
-    p.add_argument("--method", choices=("spu", "hidden"), default="spu")
+    p.add_argument("--init", choices=("vca", "dmaxd"), default="dmaxd", help="seeding method")
+    p.add_argument("--method", choices=("spu", "hidden"), default="spu", help="unmixing method")
     _add_hyper_flags(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_eval)
@@ -222,7 +209,7 @@ def build_parser():
                        help="finite-difference check of all analytic gradients")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

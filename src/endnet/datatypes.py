@@ -116,6 +116,8 @@ class SynthSpec:
             raise ValueError("need at least two endmembers")
         if self.bands <= self.k:
             raise ValueError("need more bands than endmembers")
+        if self.n_pixels < 1:
+            raise ValueError("n_pixels must be >= 1")
         if not self.snr_db > 0:
             raise ValueError("snr_db must be positive (np.inf for noiseless)")
         if not 0.0 <= self.pure_pixel_fraction <= 1.0:

@@ -117,7 +117,7 @@ def check_l1norm(rng, k=None):
     while (z_star > 0.0).sum() < 2:
         z_star[int(rng.integers(0, k))] = rng.uniform(0.5, 3.0)
     G = rng.normal(0.0, 1.0, k)
-    eps = 1e-8
+    eps = net.HyperParams.eps
 
     def value(zs):
         ys = zs / (zs.sum(axis=-1, keepdims=True) + eps)
@@ -164,14 +164,14 @@ def _random_instance(rng, d, k, n, hyper):
 def check_full_loss(rng, d=None, k=None, n=None, hyper=None):
     """FD check of the complete loss gradient for every trainable array.
 
-    ``hyper`` defaults to the reference setup with top_n = min(2, k); with
+    ``hyper`` defaults to the reference setup with top_n capped at k; with
     ``dropout_p < 1`` a dropout mask is drawn with the instance and pinned
     for every evaluation.
     """
     d = d or int(rng.integers(5, 21))
     k = k or int(rng.integers(2, 7))
     n = n or int(rng.integers(2, 9))
-    hyper = hyper or net.HyperParams(top_n=min(2, k))
+    hyper = hyper or net.HyperParams(top_n=min(net.HyperParams.top_n, k))
     model, X, mask = _random_instance(rng, d, k, n, hyper)
     params = model.params()
 
@@ -199,6 +199,8 @@ LAYERS = {
 
 def run_all(trials=50, seed=0, tol=DEFAULT_TOL):
     """Run every layer check ``trials`` times; returns {layer: worst error}."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     results = {}
     for name, fn in LAYERS.items():
         rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,14 +38,15 @@ _NORM_BLOCK = 4096
 class HyperParams:
     """Loss weights and layer knobs; defaults follow the reference setup."""
 
-    lambda0: float = 0.01
-    lambda1: float = 10.0
-    lambda2: float = 0.1
-    lambda3: float = 1e-5
-    lambda4: float = 1e-5
-    lambda5: float = 1e-3
-    dropout_p: float = 1.0
-    top_n: int = 2
+    lambda0: float = field(default=0.01, metadata={"help": "euclidean reconstruction weight"})
+    lambda1: float = field(default=10.0, metadata={"help": "angular (KL) reconstruction weight"})
+    lambda2: float = field(default=0.1, metadata={"help": "activation l1 sparsity weight"})
+    lambda3: float = field(default=1e-5, metadata={"help": "encoder weight decay"})
+    lambda4: float = field(default=1e-5, metadata={"help": "decoder weight decay"})
+    lambda5: float = field(default=1e-3, metadata={"help": "shift-parameter weight decay"})
+    dropout_p: float = field(default=1.0, metadata={
+        "flag": "--dropout", "help": "dropout keep probability p"})
+    top_n: int = field(default=2, metadata={"help": "hard-selected activation count"})
     eps: float = 1e-8
     theta_clip: float = 1e-7
 
@@ -56,6 +57,8 @@ class HyperParams:
                 raise ValueError(f"{name} must be nonnegative and finite")
         if not 0.0 < self.dropout_p <= 1.0:
             raise ValueError("dropout_p must lie in (0, 1]")
+        if k is not None and k < 1:
+            raise ValueError("k must be >= 1")
         if self.top_n < 1 or (k is not None and self.top_n > k):
             raise ValueError("top_n must lie in [1, k]")
         if not 0.0 < self.eps < math.inf:
@@ -250,7 +253,7 @@ class ForwardTrace:
     c_recon: np.ndarray | None = None
 
 
-def batchnorm_forward(H, rho, eps=1e-8, mode="train", run_stats=None):
+def batchnorm_forward(H, rho, eps=HyperParams.eps, mode="train", run_stats=None):
     """Shift-only batch normalization: (h - mu)/sqrt(var + eps) + rho.
 
     Train mode computes per-column statistics over the mini-batch (the
@@ -275,7 +278,7 @@ def batchnorm_forward(H, rho, eps=1e-8, mode="train", run_stats=None):
     return centered + np.asarray(rho)[..., None, :], mean, var, centered
 
 
-def batchnorm_backward(d_out, bn_var, bn_centered, eps=1e-8):
+def batchnorm_backward(d_out, bn_var, bn_centered, eps=HyperParams.eps):
     """Full-batch backward through train-mode shift-only batch norm.
 
     Accounts for the dependence of the batch statistics on every sample.
@@ -290,7 +293,7 @@ def batchnorm_backward(d_out, bn_var, bn_centered, eps=1e-8):
     return dH, g_sum
 
 
-def relu_topn_l1(z_pre, dropout_mask, top_n, eps=1e-8):
+def relu_topn_l1(z_pre, dropout_mask, top_n, eps=HyperParams.eps):
     """ReLU gate, dropout, hard top-n selection, then l1 normalization.
 
     Ties in the top-n selection resolve toward the lower index.  Returns
@@ -320,7 +323,7 @@ def _topn_mask(z, top_n):
     return mask.reshape(z.shape)
 
 
-def l1norm_backward(d_y, z_star, y, eps=1e-8):
+def l1norm_backward(d_y, z_star, y, eps=HyperParams.eps):
     """Exact backward of y = z*/(||z*||_1 + eps).
 
     Entries where z*_k = 0 (including rows with no mass) get zero gradient.

@@ -16,20 +16,22 @@ from .net import EndNetModel, HyperParams, forward_batch, loss
 
 @dataclass
 class TrainConfig:
-    iters: int = 20000
-    lr: float = 0.001
-    batch_size: int = 64
-    beta1: float = 0.7
+    iters: int = field(default=20000, metadata={"help": "training iterations"})
+    lr: float = field(default=0.001, metadata={"help": "learning rate"})
+    batch_size: int = field(default=64, metadata={"flag": "--batch", "help": "mini-batch size"})
+    beta1: float = field(default=0.7, metadata={"help": "Adam first-moment decay"})
     beta2: float = 0.999
     adam_eps: float = 1e-8
     hyper: HyperParams = field(default_factory=HyperParams)
-    corrupt_mask_frac: float = 0.4
-    corrupt_sigma: float | None = None  # None: 0.1 * global std of the cube
-    seed: int = 0
+    corrupt_mask_frac: float = field(default=0.4, metadata={
+        "flag": "--mask-noise", "help": "max fraction of bands corrupted per sample"})
+    corrupt_sigma: float | None = field(default=None, metadata={
+        "help": "corruption noise std; %(default)s means 0.1 * cube std"})
+    seed: int = field(default=0, metadata={"help": "RNG seed"})
     log_every: int = 1000
 
-    def validate(self):
-        """Raise ValueError, naming the field, on an out-of-range or non-finite value."""
+    def validate(self, k=None):
+        """Raise ValueError, naming the field, on a bad value; ``hyper`` is checked against k."""
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if not 0.0 < self.lr < math.inf:
@@ -45,8 +47,11 @@ class TrainConfig:
             raise ValueError("corrupt_mask_frac must lie in [0, 1]")
         if self.corrupt_sigma is not None and not 0.0 <= self.corrupt_sigma < math.inf:
             raise ValueError("corrupt_sigma must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        self.hyper.validate(k)
 
 
 @dataclass
@@ -137,7 +142,8 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, grads, state, lr, beta1=0.7, beta2=0.999, adam_eps=1e-8):
+def adam_step(params, grads, state, lr, beta1=TrainConfig.beta1, beta2=TrainConfig.beta2,
+              adam_eps=TrainConfig.adam_eps):
     """One bias-corrected Adam update of a parameter array, applied in place."""
     state.t += 1
     t = state.t
@@ -168,8 +174,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     Bit-deterministic given (cube, init, cfg.seed): a single seeded RNG
     drives batch sampling, corruption and dropout in a fixed order.
     """
-    cfg.validate()
-    cfg.hyper.validate(init.k)
+    cfg.validate(init.k)
     pixels = cube.data
     n = pixels.shape[0]
     model = EndNetModel.from_endmembers(init.endmembers.rows)

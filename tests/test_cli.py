@@ -1,10 +1,12 @@
 """End-to-end command-line flows and exit codes."""
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
-from endnet import data_io
-from endnet.cli import main
+from endnet import HyperParams, TrainConfig, data_io
+from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
 
@@ -116,6 +118,25 @@ def test_gradcheck_ok(capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_is_a_config_error(capsys, trials):
+    # zero trials check nothing; that must not print [ok] and exit 0
+    rc = main(["gradcheck", "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: trials must be >= 1"]
+
+
+@pytest.mark.parametrize("pixels", ["0", "-5"])
+def test_synth_without_pixels_is_a_config_error(tmp_path, capsys, pixels):
+    rc = main(["synth", "--pixels", pixels, "--out-dir", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: n_pixels ")
+    assert not (tmp_path / "s").exists()
+
+
 def test_gradcheck_failure_exit_code(capsys):
     rc = main(["gradcheck", "--trials", "2", "--seed", "0", "--tol", "1e-300"])
     assert rc == 4
@@ -140,7 +161,7 @@ def test_exit_code_bad_config(scene_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
     ("--corrupt-sigma", "nan", "corrupt_sigma"), ("--corrupt-sigma", "-0.1", "corrupt_sigma"),
-    ("--lambda1", "nan", "lambda1")])
+    ("--lambda1", "nan", "lambda1"), ("--seed", "-1", "seed"), ("--k", "0", "k")])
 def test_exit_code_bad_value_names_its_field(scene_dir, tmp_path, capsys, flag, value, field):
     # a config fault exits 2 with one line, not 3 ("loss is non-finite")
     rc = main(["extract", "--input", str(scene_dir / "cube.csv"), "--k", "3",
@@ -150,9 +171,12 @@ def test_exit_code_bad_value_names_its_field(scene_dir, tmp_path, capsys, flag, 
     assert len(err) == 1 and err[0].startswith(f"error: {field} ")
 
 
+# each command ends with the bad flag and its value
 @pytest.mark.parametrize("command", [
-    ["extract"],
-    ["eval", "--gt-spectra", "gt.csv", "--repeats", "2"]])
+    ["extract", "--lr", "nan"],
+    ["eval", "--gt-spectra", "gt.csv", "--repeats", "2", "--lr", "nan"],
+    ["eval", "--gt-spectra", "gt.csv", "--repeats", "0"],
+    ["eval", "--gt-spectra", "gt.csv", "--repeats", "-2"]])
 def test_bad_flag_fails_before_any_file_is_read(monkeypatch, tmp_path, capsys, command):
     def unread(path):
         raise OSError(f"{path} must not be read")
@@ -160,10 +184,10 @@ def test_bad_flag_fails_before_any_file_is_read(monkeypatch, tmp_path, capsys, c
     monkeypatch.setattr(data_io, "load_cube", unread)
     monkeypatch.setattr(data_io, "load_spectra_csv", unread)
     rc = main([*command, "--input", "cube.csv", "--k", "3", *_FAST_TRAIN,
-               "--lr", "nan", "--out-prefix", str(tmp_path / "x")])
+               "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: lr ")
+    assert len(err) == 1 and err[0].startswith(f"error: {command[-2][2:]} ")
 
 
 def test_exit_code_k_too_large(scene_dir, tmp_path, capsys):
@@ -182,12 +206,54 @@ def test_exit_code_divergence(scene_dir, tmp_path, capsys):
 
 
 def test_help_lists_defaults(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["extract", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for token in ("0.7", "20000", "--lambda2", "0.1"):
-        assert token in out
+    flagged = [f for cls in (TrainConfig, HyperParams) for f in fields(cls) if "help" in f.metadata]
+    assert len(flagged) == 15
+    for command in ("extract", "eval"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for f in flagged:
+            flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+            # the entry after the flag and its metavar, up to the next flag
+            entry = out.split(f" {flag} {f.name.upper()} ", 1)[1].split(" --", 1)[0]
+            # the default shows once: corrupt_sigma's help names its own
+            assert entry.count(str(f.default)) == 1, (command, flag, entry)
+            if f.default is not None:
+                assert entry == f"{f.metadata['help']} (default: {f.default})"
+        assert "--init {vca,dmaxd} seeding method (default: dmaxd)" in out
+        if command == "eval":
+            assert "--method {spu,hidden} unmixing method (default: spu)" in out
+
+
+# every training flag, a value unlike its default, and the field it sets
+_EVERY_FLAG = [
+    ("--iters", 7, "iters"), ("--lr", 0.02, "lr"), ("--batch", 9, "batch_size"),
+    ("--beta1", 0.5, "beta1"), ("--mask-noise", 0.3, "corrupt_mask_frac"),
+    ("--corrupt-sigma", 0.05, "corrupt_sigma"), ("--seed", 11, "seed"),
+    ("--lambda0", 0.03, "lambda0"), ("--lambda1", 4.0, "lambda1"),
+    ("--lambda2", 0.2, "lambda2"), ("--lambda3", 2e-5, "lambda3"),
+    ("--lambda4", 3e-5, "lambda4"), ("--lambda5", 4e-3, "lambda5"),
+    ("--dropout", 0.8, "dropout_p"), ("--top-n", 3, "top_n")]
+
+
+@pytest.mark.parametrize("command", [
+    ["extract", "--out-prefix", "x"],
+    ["eval", "--gt-spectra", "gt.csv", "--out-prefix", "x"]])
+def test_every_flag_sets_its_own_field(command):
+    argv = [*command, "--input", "cube.csv", "--k", "4"]
+    for flag, value, _ in _EVERY_FLAG:
+        argv += [flag, str(value)]
+    cfg = _train_config(build_parser().parse_args(argv))
+    expected = asdict(TrainConfig())
+    for _, value, name in _EVERY_FLAG:
+        owner = expected if name in expected else expected["hyper"]
+        assert owner[name] != value
+        owner[name] = value
+    assert asdict(cfg) == expected
+    for _, value, name in _EVERY_FLAG:
+        got = getattr(cfg, name) if hasattr(cfg, name) else getattr(cfg.hyper, name)
+        assert type(got) is type(value), name
 
 
 # numpy warns on an empty file; raise that warning, so it cannot pass unseen

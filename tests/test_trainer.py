@@ -271,10 +271,21 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
 @pytest.mark.parametrize("field, value", [
     ("log_every", 0), ("beta2", 1.0), ("beta2", np.nan), ("beta1", np.nan),
     ("lr", np.nan), ("lr", np.inf), ("adam_eps", np.nan),
-    ("corrupt_sigma", np.nan), ("corrupt_sigma", -0.1), ("corrupt_sigma", np.inf)])
+    ("corrupt_sigma", np.nan), ("corrupt_sigma", -0.1), ("corrupt_sigma", np.inf),
+    ("seed", -1)])
 def test_config_rejects_out_of_range_and_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         TrainConfig(**{field: value}).validate()
+
+
+def test_config_validates_its_hyper_against_k():
+    TrainConfig().validate(k=2)
+    with pytest.raises(ValueError, match="^lambda2 "):
+        TrainConfig(hyper=HyperParams(lambda2=-1.0)).validate()
+    with pytest.raises(ValueError, match="^top_n "):
+        TrainConfig(hyper=HyperParams(top_n=3)).validate(k=2)
+    with pytest.raises(ValueError, match="^k "):
+        TrainConfig().validate(k=0)
 
 
 def test_train_rejects_log_every_zero_before_training(small_scene, small_init):
