@@ -114,17 +114,13 @@ def load_csv_cube(path):
     return _cube_from(h, w, data, path)
 
 
-def load_cube(path, format=None):
-    """Load a hyperspectral cube; ``format`` is 'envi', 'csv' or inferred."""
+def load_cube(path):
+    """Load a hyperspectral cube: CSV if the name ends in .csv, else ENVI."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    if format is None:
-        format = "csv" if str(path).endswith(".csv") else "envi"
-    if format == "csv":
+    if str(path).endswith(".csv"):
         return load_csv_cube(path)
-    if format == "envi":
-        return load_envi(path)
-    raise ValueError(f"unknown cube format {format!r}")
+    return load_envi(path)
 
 
 def save_cube_csv(cube, path):

@@ -122,5 +122,7 @@ class SynthSpec:
             raise ValueError("snr_db must be positive (np.inf for noiseless)")
         if not 0.0 <= self.pure_pixel_fraction <= 1.0:
             raise ValueError("pure_pixel_fraction must lie in [0, 1]")
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
+        if not 0.0 < self.dirichlet_alpha < np.inf:
+            raise ValueError("dirichlet_alpha must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")

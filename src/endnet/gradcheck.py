@@ -125,7 +125,7 @@ def check_l1norm(rng, k=None):
         return np.array([np.dot(G, y) for y in ys])
 
     y = z_star / (z_star.sum() + eps)
-    analytic = net.l1norm_backward(G[None, :], z_star[None, :], y[None, :], eps)[0]
+    analytic = net.l1norm_backward(G, z_star, y, eps)
     fd = _central_diff(value, z_star)
     fd[z_star == 0.0] = 0.0  # spec'd convention at the kink
     return rel_error(analytic, fd)
@@ -201,6 +201,10 @@ def run_all(trials=50, seed=0, tol=DEFAULT_TOL):
     """Run every layer check ``trials`` times; returns {layer: worst error}."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     results = {}
     for name, fn in LAYERS.items():
         rng = np.random.default_rng(seed)

@@ -7,12 +7,12 @@ bias-free linear map whose columns converge to the endmembers.  All
 gradients are derived by hand and checked against finite differences in
 the gradcheck module.
 
-The forward layers and the loss value also take a leading replica axis,
-``(..., N, .)``: a model whose parameter arrays carry extra leading axes
-(which broadcast against each other) is evaluated for every replica in
-one call, one total per replica.  Gradient checks use it to evaluate all
-perturbed parameter sets at once.  The backward, ``save`` and ``load``
-work on a single, unstacked model.
+Every layer, forward and backward, and the loss take a leading replica
+axis, ``(..., N, .)``: a model whose parameter arrays carry extra leading
+axes (which broadcast against each other) is evaluated and differentiated
+for every replica in one call; a single model has no replica axes.
+Gradient checks use it to evaluate all perturbed parameter sets at once.
+Only the checkpoint format (``save``, ``load``) takes one unstacked model.
 """
 
 from __future__ import annotations
@@ -167,6 +167,7 @@ class Angle(NamedTuple):
     theta: np.ndarray     # cosines clamped to +-(1 - theta_clip)
     clipped: np.ndarray   # bool mask where the clamp engaged
     s: np.ndarray         # angles in [0, pi]
+    paired: bool          # row i of a with row i of b, else every pair
 
     @property
     def similarity(self):
@@ -198,7 +199,7 @@ def angle(A, B, theta_clip, paired=False):
         cos = dot / (a_norm[..., :, None] * b_norm[..., None, :])
     clipped = np.abs(cos) >= 1.0 - theta_clip
     theta = np.minimum(np.maximum(cos, -1.0 + theta_clip), 1.0 - theta_clip)
-    return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta))
+    return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta), paired)
 
 
 def _row_norms(A):
@@ -223,13 +224,13 @@ def angle_backward(ang, d_c):
     """
     # (dC/dS)(dS/dtheta) = (-1/pi)(-1/sqrt(1-theta^2))
     coef = np.where(ang.clipped, 0.0, d_c / (np.pi * np.sqrt(1.0 - ang.theta ** 2)))
-    if ang.dot.ndim == 1:
+    if ang.paired:
         bn = np.where(ang.b_norm > 0.0, ang.b_norm, 1.0)
-        return coef[:, None] * (ang.a / (bn * ang.a_norm)[:, None]
-                                - ang.b * (ang.dot / (bn ** 3 * ang.a_norm))[:, None])
-    a = coef / np.outer(ang.a_norm, ang.b_norm)
-    b = coef * ang.dot / np.outer(ang.a_norm, ang.b_norm ** 3)
-    return a.T @ ang.a - b.sum(axis=0)[:, None] * ang.b
+        return coef[..., None] * (ang.a / (bn * ang.a_norm)[..., None]
+                                  - ang.b * (ang.dot / (bn ** 3 * ang.a_norm))[..., None])
+    a = coef / (ang.a_norm[..., :, None] * ang.b_norm[..., None, :])
+    b = coef * ang.dot / (ang.a_norm[..., :, None] * (ang.b_norm ** 3)[..., None, :])
+    return a.swapaxes(-1, -2) @ ang.a - b.sum(axis=-2)[..., None] * ang.b
 
 
 @dataclass
@@ -281,16 +282,16 @@ def batchnorm_forward(H, rho, eps=HyperParams.eps, mode="train", run_stats=None)
 def batchnorm_backward(d_out, bn_var, bn_centered, eps=HyperParams.eps):
     """Full-batch backward through train-mode shift-only batch norm.
 
-    Accounts for the dependence of the batch statistics on every sample.
-    Returns (dH, drho).
+    Accounts for the dependence of the batch statistics on every sample
+    (the row axis, -2).  Returns (dH, drho).
     """
     d_out = np.asarray(d_out, dtype=np.float64)
-    n = d_out.shape[0]
-    inv_std = 1.0 / np.sqrt(bn_var + eps)
-    g_sum = d_out.sum(axis=0)
-    gc_sum = (d_out * bn_centered).sum(axis=0)
+    n = d_out.shape[-2]
+    inv_std = 1.0 / np.sqrt(bn_var + eps)[..., None, :]
+    g_sum = d_out.sum(axis=-2, keepdims=True)
+    gc_sum = (d_out * bn_centered).sum(axis=-2, keepdims=True)
     dH = (inv_std / n) * (n * d_out - g_sum - bn_centered * gc_sum)
-    return dH, g_sum
+    return dH, g_sum[..., 0, :]
 
 
 def relu_topn_l1(z_pre, dropout_mask, top_n, eps=HyperParams.eps):
@@ -328,15 +329,11 @@ def l1norm_backward(d_y, z_star, y, eps=HyperParams.eps):
 
     Entries where z*_k = 0 (including rows with no mass) get zero gradient.
     """
-    d_y = np.atleast_2d(np.asarray(d_y, dtype=np.float64))
-    z_star = np.atleast_2d(z_star)
-    y = np.atleast_2d(y)
-    s = z_star.sum(axis=1)
-    active = z_star > 0.0
-    inner = (d_y * y).sum(axis=1)
-    dz = (d_y - inner[:, None]) / (s + eps)[:, None]
-    dz[~active] = 0.0
-    return dz
+    d_y = np.asarray(d_y, dtype=np.float64)
+    s = z_star.sum(axis=-1)
+    inner = (d_y * y).sum(axis=-1)
+    dz = (d_y - inner[..., None]) / (s + eps)[..., None]
+    return np.where(z_star > 0.0, dz, 0.0)
 
 
 def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
@@ -399,14 +396,13 @@ def loss(trace, model, hyper, target):
     against (the forward pass may have seen a corrupted version).  Both
     this and ``loss_value`` store the decoder output in ``trace.x_hat`` and
     the per-sample C(target, x_hat) in ``trace.c_recon``.  Gradients need
-    a train-mode trace of an unstacked model.  A non-finite loss raises
+    a train-mode trace.  A stacked model or trace gives one total, and one
+    gradient of each array, per replica.  A non-finite loss raises
     NumericalDivergence; the gradients are not scanned here, the
     optimizer step (``trainer.adam_step``) scans them once.
     """
     if trace.mode != "train":
         raise ValueError("loss gradients need a train-mode trace")
-    if model.replicas or trace.y.ndim != 2:
-        raise ValueError("loss gradients need an unstacked model and trace")
     return _loss_impl(trace, model, hyper, target, want_grads=True)
 
 
@@ -440,7 +436,7 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + hyper.eps)), 0.0)
     d_xhat = hyper.lambda0 * diff / n + angle_backward(recon_angle, dkl_dc)
 
-    d_wdec = d_xhat.T @ trace.y + 2.0 * hyper.lambda4 * model.w_dec
+    d_wdec = d_xhat.swapaxes(-1, -2) @ trace.y + 2.0 * hyper.lambda4 * model.w_dec
     d_y = d_xhat @ model.w_dec
 
     # l1norm_backward is already zero off the top-n support

@@ -118,22 +118,41 @@ def test_gradcheck_ok(capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_gradcheck_without_trials_is_a_config_error(capsys, trials):
-    # zero trials check nothing; that must not print [ok] and exit 0
-    rc = main(["gradcheck", "--trials", trials])
+_TRIALS = "error: trials must be >= 1"
+_TOL = "error: tol must be positive and finite"
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--trials", "0"], _TRIALS, id="0"),
+    pytest.param(["--trials", "-3"], _TRIALS, id="-3"),
+    pytest.param(["--tol", "nan"], _TOL, id="tol-nan"),
+    pytest.param(["--tol", "-1"], _TOL, id="tol-negative"),
+    pytest.param(["--tol", "0"], _TOL, id="tol-zero"),
+    pytest.param(["--tol", "inf"], _TOL, id="tol-inf"),
+    pytest.param(["--seed", "-1"], "error: seed must be >= 0", id="seed-negative"),
+])
+def test_gradcheck_without_trials_is_a_config_error(capsys, flags, message):
+    # zero trials check nothing, and a tolerance that is not positive and
+    # finite passes or fails every check; neither may print [ok] or [FAIL]
+    rc = main(["gradcheck", *flags])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: trials must be >= 1"]
+    assert captured.err.splitlines() == [message]
 
 
-@pytest.mark.parametrize("pixels", ["0", "-5"])
-def test_synth_without_pixels_is_a_config_error(tmp_path, capsys, pixels):
-    rc = main(["synth", "--pixels", pixels, "--out-dir", str(tmp_path / "s")])
+@pytest.mark.parametrize("flags, field", [
+    pytest.param(["--pixels", "0"], "n_pixels", id="0"),
+    pytest.param(["--pixels", "-5"], "n_pixels", id="-5"),
+    pytest.param(["--seed", "-1"], "seed", id="seed-negative"),
+    pytest.param(["--alpha", "nan"], "dirichlet_alpha", id="alpha-nan"),
+    pytest.param(["--alpha", "inf"], "dirichlet_alpha", id="alpha-inf"),
+])
+def test_synth_without_pixels_is_a_config_error(tmp_path, capsys, flags, field):
+    rc = main(["synth", *flags, "--out-dir", str(tmp_path / "s")])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: n_pixels ")
+    assert len(err) == 1 and err[0].startswith(f"error: {field} ")
     assert not (tmp_path / "s").exists()
 
 

@@ -442,38 +442,44 @@ def _model_with(model, name, arr):
 @pytest.mark.parametrize("mode", ["train", "infer"])
 @pytest.mark.parametrize("r", [1, 3])
 def test_stacked_forward_and_loss_match_solo_calls(mode, r):
+    """One stacked call equals r solo calls bit for bit: values, trace and gradients."""
     rng = np.random.default_rng(19)
     model = _toy_model(rng)
-    X = rng.uniform(0.1, 1.0, (5, 12))
-    hyper = HyperParams()
-    for name, arr in model.params().items():
-        stack = arr + rng.normal(0.0, 0.05, (r,) + arr.shape)
-        stacked = _model_with(model, name, stack)
-        trace = forward_batch(stacked, X, hyper, mode=mode)
-        totals = loss_value(trace, stacked, hyper, X)
-        assert stacked.replicas == (r,) and totals.shape == (r,)
-        for i in range(r):
-            solo = _model_with(model, name, stack[i])
-            t = forward_batch(solo, X, hyper, mode=mode)
-            assert loss_value(t, solo, hyper, X) == totals[i]
-            for field in ("h", "bn_out", "z", "z_star", "y", "x_hat", "c_recon"):
-                solo_field = getattr(t, field)
-                np.testing.assert_array_equal(
-                    np.broadcast_to(getattr(trace, field), (r,) + solo_field.shape)[i],
-                    solo_field)
+    n, k = 5, model.k
+    X = rng.uniform(0.1, 1.0, (n, 12))
+    pinned = (rng.random((n, k)) < 0.5) / 0.5
+    for hyper, mask in ((HyperParams(), None),
+                        (HyperParams(top_n=k), None),
+                        (HyperParams(dropout_p=0.5), pinned)):
+        for name, arr in model.params().items():
+            stack = arr + rng.normal(0.0, 0.05, (r,) + arr.shape)
+            stacked = _model_with(model, name, stack)
+            trace = forward_batch(stacked, X, hyper, mode=mode, dropout_mask=mask)
+            totals = loss_value(trace, stacked, hyper, X)
+            assert stacked.replicas == (r,) and totals.shape == (r,)
+            if mode == "train":
+                grad_totals, grads = loss(trace, stacked, hyper, X)
+                np.testing.assert_array_equal(grad_totals, totals)
+            for i in range(r):
+                solo = _model_with(model, name, stack[i])
+                t = forward_batch(solo, X, hyper, mode=mode, dropout_mask=mask)
+                assert loss_value(t, solo, hyper, X) == totals[i]
+                for field in ("h", "bn_out", "z", "z_star", "y", "x_hat", "c_recon"):
+                    solo_field = getattr(t, field)
+                    np.testing.assert_array_equal(
+                        np.broadcast_to(getattr(trace, field), (r,) + solo_field.shape)[i],
+                        solo_field)
+                if mode == "train":
+                    _, solo_grads = loss(t, solo, hyper, X)
+                    for g, solo_grad in solo_grads.items():
+                        assert grads[g].shape == (r,) + solo_grad.shape
+                        assert np.array_equal(grads[g][i], solo_grad), (name, g, i)
 
 
-def test_stacked_model_has_no_backward_and_no_checkpoint(tmp_path):
+def test_stacked_model_has_no_checkpoint_and_replica_axes_must_broadcast(tmp_path):
     rng = np.random.default_rng(20)
     model = _toy_model(rng)
-    X = rng.uniform(0.1, 1.0, (4, 12))
-    hyper = HyperParams()
     stacked = _model_with(model, "rho", np.stack([model.rho, model.rho + 0.1]))
-    trace = forward_batch(stacked, X, hyper, mode="train")
-    with pytest.raises(ValueError, match="unstacked"):
-        loss(trace, stacked, hyper, X)
-    with pytest.raises(ValueError, match="unstacked"):
-        loss(trace, model, hyper, X)
     with pytest.raises(ValueError, match="stacked"):
         stacked.save(tmp_path / "m.endn")
     assert not (tmp_path / "m.endn").exists()

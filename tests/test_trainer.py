@@ -306,7 +306,7 @@ def _ref_angle(A, B, theta_clip, paired=False):
         cos = dot / np.outer(a_norm, b_norm)
     theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
     return net.Angle(A, B, a_norm, b_norm, dot, cos, theta,
-                     np.abs(cos) >= 1.0 - theta_clip, np.arccos(theta))
+                     np.abs(cos) >= 1.0 - theta_clip, np.arccos(theta), paired)
 
 
 def _ref_corrupt(x, mask_frac, sigma, rng):
