@@ -13,12 +13,11 @@ import numpy as np
 
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix
 from .errors import DegenerateSimplex
-from .net import HyperParams, angle, forward_batch
+from .net import THETA_CLIP, HyperParams, angle, forward_batch
 
 log = logging.getLogger(__name__)
 
 _NEG_TOL = -1e-10
-_THETA_CLIP = HyperParams.theta_clip  # SPU uses the network's default cosine clamp
 
 
 def _pairwise_d2(spectra, pixels, kernel):
@@ -28,14 +27,15 @@ def _pairwise_d2(spectra, pixels, kernel):
     DegenerateSimplex: they collapse the feature-space simplex.
     """
     if kernel == "sad":
-        ee = angle(spectra, spectra, _THETA_CLIP)
+        # SPU clamps cosines as training does
+        ee = angle(spectra, spectra, THETA_CLIP)
         cos = ee.cos.copy()
         np.fill_diagonal(cos, 0.0)
         if cos.max() >= 1.0 - 1e-9:
             raise DegenerateSimplex("angularly coincident endmembers")
         d2_ee = 2.0 - 2.0 * ee.similarity
         np.fill_diagonal(d2_ee, 0.0)
-        d2_ep = 2.0 - 2.0 * angle(pixels, spectra, _THETA_CLIP).similarity
+        d2_ep = 2.0 - 2.0 * angle(pixels, spectra, THETA_CLIP).similarity
     elif kernel == "l2":
         diff = spectra[:, None, :] - spectra[None, :, :]
         d2_ee = np.einsum("ijk,ijk->ij", diff, diff)
@@ -236,13 +236,16 @@ def hidden_abundances(model, cube: HyperCube, hyper: HyperParams | None = None):
     return AbundanceMap(cube.height, cube.width, y)
 
 
-def spu_abundances(endmembers, cube: HyperCube, kernel="sad"):
-    """Simplex projection of every pixel of the cube (K x D endmembers)."""
-    return AbundanceMap(cube.height, cube.width, spu_sad(cube.data, endmembers, kernel=kernel))
+def spu_abundances(endmembers, cube: HyperCube):
+    """Angle-kernel simplex projection of every pixel of the cube (K x D endmembers)."""
+    return AbundanceMap(cube.height, cube.width, spu_sad(cube.data, endmembers))
 
 
 def estimate_abundances(model, cube: HyperCube, method="spu"):
     """Dispatch abundance estimation; 'spu' (default) uses the decoder columns."""
+    if cube.bands != model.d:
+        raise ValueError(f"band count mismatch: the cube has {cube.bands} bands, "
+                         f"the model {model.d}")
     if method == "spu":
         return spu_abundances(model.endmembers(), cube)
     if method == "hidden":

@@ -99,17 +99,27 @@ def load_envi(path):
     return _cube_from(lines, samples, data, path)
 
 
-def load_csv_cube(path):
-    """Read a CSV cube: one pixel per row, optional leading '#' header line."""
+def _load_csv(path, what, rows, skiprows=0):
+    """The numeric rows of a comma-separated file ('#' starts a comment) as a 2-D array.
+
+    A row that does not parse, or no data row (``rows`` names them), raises
+    CubeFormatError naming ``what`` and the file.
+    """
     try:
         with warnings.catch_warnings():
             # an empty file is reported below as an error, not also as a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except ValueError as exc:
-        raise CubeFormatError(f"cannot parse CSV cube {path}: {exc}") from exc
+        raise CubeFormatError(f"cannot parse {what} {path}: {exc}") from exc
     if data.shape[0] == 0:
-        raise CubeFormatError(f"CSV cube {path} holds no pixels")
+        raise CubeFormatError(f"{what} {path} holds no {rows}")
+    return data
+
+
+def load_csv_cube(path):
+    """Read a CSV cube: one pixel per row, optional leading '#' header line."""
+    data = _load_csv(path, "CSV cube", "pixels")
     h, w = _grid_shape(data.shape[0])
     return _cube_from(h, w, data, path)
 
@@ -234,8 +244,7 @@ def save_abundance_maps(amap: AbundanceMap, out_dir):
 
 def load_abundance_csv(path):
     """Read the 'pixel,a1..aK' CSV written by save_abundance_maps."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    vals = raw[:, 1:]
+    vals = _load_csv(path, "abundance CSV", "pixels", skiprows=1)[:, 1:]
     h, w = _grid_shape(vals.shape[0])
     return AbundanceMap(h, w, vals)
 
@@ -245,5 +254,4 @@ def save_spectra_csv(spectra: SpectraMatrix, path):
 
 
 def load_spectra_csv(path):
-    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    return SpectraMatrix(rows)
+    return SpectraMatrix(_load_csv(path, "spectra CSV", "spectra"))

@@ -26,17 +26,17 @@ def rel_error(a, b, floor=1e-12):
     return np.linalg.norm((np.asarray(a) - np.asarray(b)).ravel()) / max(na, nb, floor)
 
 
-def _central_diff(f, arr, step=FD_STEP):
+def _central_diff(f, arr):
     """Central differences of f at every element of the P-element ``arr``.
 
     f maps a (2P, *arr.shape) stack to its 2P values: row i holds arr with
     element i moved by +h_i, row P + i the same element moved by -h_i,
-    where h_i = step * max(1, |arr_i|).
+    where h_i = FD_STEP * max(1, |arr_i|).
     """
     arr = np.asarray(arr, dtype=np.float64)
     flat = arr.ravel()
     p = flat.size
-    h = step * np.maximum(1.0, np.abs(flat))
+    h = FD_STEP * np.maximum(1.0, np.abs(flat))
     stack = np.tile(flat, (2 * p, 1))
     i = np.arange(p)
     stack[i, i] = flat + h
@@ -57,7 +57,6 @@ def check_sad(rng, d=None):
     (targets against reconstructions), each under a random upstream gradient.
     """
     d = d or int(rng.integers(5, 21))
-    theta_clip = net.HyperParams().theta_clip
     worst = 0.0
     for paired in (False, True):
         n = int(rng.integers(2, 4))
@@ -67,13 +66,13 @@ def check_sad(rng, d=None):
             B = rng.uniform(0.1, 1.0, (k, d)) + rng.normal(0.0, 0.3, (k, d))
             if np.linalg.norm(B, axis=1).min() < 1e-3:
                 continue
-            ang = net.angle(A, B, theta_clip, paired)
+            ang = net.angle(A, B, net.THETA_CLIP, paired)
             if np.abs(ang.theta).max() < 1.0 - 1e-3:
                 break
         G = rng.normal(0.0, 1.0, ang.s.shape)
 
         def value(Bs):
-            return _weighted_sum(G, net.angle(A, Bs, theta_clip, paired).similarity)
+            return _weighted_sum(G, net.angle(A, Bs, net.THETA_CLIP, paired).similarity)
 
         analytic = net.angle_backward(ang, G)
         worst = max(worst, rel_error(analytic, _central_diff(value, B)))
@@ -94,10 +93,10 @@ def check_batchnorm(rng, n=None, k=None):
     G = rng.normal(0.0, 1.0, (n, k))
 
     def value(Hs, rhos):
-        out, _, _, _ = net.batchnorm_forward(Hs, rhos, mode="train")
+        out, _, _, _ = net.batchnorm_forward(Hs, rhos)
         return _weighted_sum(G, out)
 
-    _, _, var, centered = net.batchnorm_forward(H, rho, mode="train")
+    _, _, var, centered = net.batchnorm_forward(H, rho)
     dH, drho = net.batchnorm_backward(G, var, centered)
     # n=2 batches normalize to +-1 exactly, leaving an eps-scale input
     # gradient; compare against the layer's characteristic scale then
@@ -117,15 +116,14 @@ def check_l1norm(rng, k=None):
     while (z_star > 0.0).sum() < 2:
         z_star[int(rng.integers(0, k))] = rng.uniform(0.5, 3.0)
     G = rng.normal(0.0, 1.0, k)
-    eps = net.HyperParams.eps
 
     def value(zs):
-        ys = zs / (zs.sum(axis=-1, keepdims=True) + eps)
+        ys = zs / (zs.sum(axis=-1, keepdims=True) + net.EPS)
         # np.dot per row: a matrix product rounds these sums differently
         return np.array([np.dot(G, y) for y in ys])
 
-    y = z_star / (z_star.sum() + eps)
-    analytic = net.l1norm_backward(G, z_star, y, eps)
+    y = z_star / (z_star.sum() + net.EPS)
+    analytic = net.l1norm_backward(G, z_star, y)
     fd = _central_diff(value, z_star)
     fd[z_star == 0.0] = 0.0  # spec'd convention at the kink
     return rel_error(analytic, fd)

@@ -18,18 +18,22 @@ Only the checkpoint format (``save``, ``load``) takes one unstacked model.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .data_io import _write_atomic
 from .errors import NumericalDivergence
 
 CHECKPOINT_MAGIC = b"ENDN"
 CHECKPOINT_VERSION = 1
 BN_MOMENTUM = 0.9
+# keeps the batch-norm variance, the l1 mass and the KL log's argument off zero
+EPS = 1e-8
+# training clamps cosines to +-(1 - THETA_CLIP), where the angle has a finite slope
+THETA_CLIP = 1e-7
 # rows per block when taking row norms; bounds the squared temporary
 _NORM_BLOCK = 4096
 
@@ -47,8 +51,6 @@ class HyperParams:
     dropout_p: float = field(default=1.0, metadata={
         "flag": "--dropout", "help": "dropout keep probability p"})
     top_n: int = field(default=2, metadata={"help": "hard-selected activation count"})
-    eps: float = 1e-8
-    theta_clip: float = 1e-7
 
     def validate(self, k=None):
         """Raise ValueError, naming the field, on an out-of-range or non-finite value."""
@@ -61,10 +63,6 @@ class HyperParams:
             raise ValueError("k must be >= 1")
         if self.top_n < 1 or (k is not None and self.top_n > k):
             raise ValueError("top_n must lie in [1, k]")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
-        if not 0.0 < self.theta_clip < 1.0:
-            raise ValueError("theta_clip must lie in (0, 1)")
 
 
 class EndNetModel:
@@ -129,10 +127,7 @@ class EndNetModel:
         payload = b"".join(
             np.ascontiguousarray(a, dtype="<f8").tobytes()
             for a in (self.w_enc, self.rho, self.run_mean, self.run_var, self.w_dec))
-        tmp = str(path) + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(header + payload)
-        os.replace(tmp, path)
+        _write_atomic(path, header + payload)
 
     @classmethod
     def load(cls, path):
@@ -238,10 +233,9 @@ class ForwardTrace:
     """Per-batch intermediates retained for the backward pass."""
 
     angle: Angle              # forward input (possibly corrupted) vs w_enc, N x K
-    h: np.ndarray             # similarity scores C in [0,1], N x K
     bn_mean: np.ndarray
     bn_var: np.ndarray
-    bn_centered: np.ndarray   # (h - mean) / std, N x K
+    bn_centered: np.ndarray   # (similarity - mean) / std, N x K
     bn_out: np.ndarray
     dropout_mask: np.ndarray  # r in {0, 1/p}
     z: np.ndarray
@@ -254,32 +248,30 @@ class ForwardTrace:
     c_recon: np.ndarray | None = None
 
 
-def batchnorm_forward(H, rho, eps=HyperParams.eps, mode="train", run_stats=None):
-    """Shift-only batch normalization: (h - mu)/sqrt(var + eps) + rho.
+def batchnorm_forward(H, rho, run_stats=None):
+    """Shift-only batch normalization: (h - mu)/sqrt(var + EPS) + rho.
 
-    Train mode computes per-column statistics over the mini-batch (the
-    row axis, -2) and returns them, bit-identical to ``H.mean(-2)`` and
-    ``H.var(-2)``; infer mode uses the supplied running statistics.  rho is
+    Without ``run_stats`` (train mode) the statistics are per column over
+    the mini-batch (the row axis, -2), bit-identical to ``H.mean(-2)`` and
+    ``H.var(-2)``; infer mode passes ``run_stats = (mean, var)``.  rho is
     (..., K).  Returns (out, mean, var, centered).
     """
     H = np.asarray(H, dtype=np.float64)
-    if mode == "train":
+    if run_stats is None:
         n = H.shape[-2]
         if n < 2:
             raise ValueError("train-mode batch norm needs at least two samples")
         mean = np.add.reduce(H, axis=-2) / n
         diff = H - mean[..., None, :]
         var = np.add.reduce(diff * diff, axis=-2) / n
-    elif mode == "infer":
+    else:
         mean, var = run_stats
         diff = H - mean[..., None, :]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    centered = diff / np.sqrt(var + eps)[..., None, :]
+    centered = diff / np.sqrt(var + EPS)[..., None, :]
     return centered + np.asarray(rho)[..., None, :], mean, var, centered
 
 
-def batchnorm_backward(d_out, bn_var, bn_centered, eps=HyperParams.eps):
+def batchnorm_backward(d_out, bn_var, bn_centered):
     """Full-batch backward through train-mode shift-only batch norm.
 
     Accounts for the dependence of the batch statistics on every sample
@@ -287,14 +279,14 @@ def batchnorm_backward(d_out, bn_var, bn_centered, eps=HyperParams.eps):
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     n = d_out.shape[-2]
-    inv_std = 1.0 / np.sqrt(bn_var + eps)[..., None, :]
+    inv_std = 1.0 / np.sqrt(bn_var + EPS)[..., None, :]
     g_sum = d_out.sum(axis=-2, keepdims=True)
     gc_sum = (d_out * bn_centered).sum(axis=-2, keepdims=True)
     dH = (inv_std / n) * (n * d_out - g_sum - bn_centered * gc_sum)
     return dH, g_sum[..., 0, :]
 
 
-def relu_topn_l1(z_pre, dropout_mask, top_n, eps=HyperParams.eps):
+def relu_topn_l1(z_pre, dropout_mask, top_n):
     """ReLU gate, dropout, hard top-n selection, then l1 normalization.
 
     Ties in the top-n selection resolve toward the lower index.  Returns
@@ -306,7 +298,7 @@ def relu_topn_l1(z_pre, dropout_mask, top_n, eps=HyperParams.eps):
     mask = _topn_mask(z, top_n)
     z_star = z * mask
     s = z_star.sum(axis=-1)
-    y = z_star / (s + eps)[..., None]
+    y = z_star / (s + EPS)[..., None]
     return z, z_star, y
 
 
@@ -324,15 +316,15 @@ def _topn_mask(z, top_n):
     return mask.reshape(z.shape)
 
 
-def l1norm_backward(d_y, z_star, y, eps=HyperParams.eps):
-    """Exact backward of y = z*/(||z*||_1 + eps).
+def l1norm_backward(d_y, z_star, y):
+    """Exact backward of y = z*/(||z*||_1 + EPS).
 
     Entries where z*_k = 0 (including rows with no mass) get zero gradient.
     """
     d_y = np.asarray(d_y, dtype=np.float64)
     s = z_star.sum(axis=-1)
     inner = (d_y * y).sum(axis=-1)
-    dz = (d_y - inner[..., None]) / (s + eps)[..., None]
+    dz = (d_y - inner[..., None]) / (s + EPS)[..., None]
     return np.where(z_star > 0.0, dz, 0.0)
 
 
@@ -348,14 +340,9 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
         raise ValueError("band count mismatch between batch and model")
     hyper.validate(model.k)
 
-    enc = angle(X, model.w_enc, hyper.theta_clip)
-    h = enc.similarity
-
-    if mode == "train":
-        bn_out, mean, var, centered = batchnorm_forward(h, model.rho, hyper.eps, "train")
-    else:
-        bn_out, mean, var, centered = batchnorm_forward(
-            h, model.rho, hyper.eps, "infer", (model.run_mean, model.run_var))
+    enc = angle(X, model.w_enc, THETA_CLIP)
+    run_stats = None if mode == "train" else (model.run_mean, model.run_var)
+    bn_out, mean, var, centered = batchnorm_forward(enc.similarity, model.rho, run_stats)
 
     if dropout_mask is not None:
         r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), bn_out.shape)
@@ -366,19 +353,17 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
     else:
         r = np.ones_like(bn_out)
 
-    z, z_star, y = relu_topn_l1(bn_out, r, hyper.top_n, hyper.eps)
+    z, z_star, y = relu_topn_l1(bn_out, r, hyper.top_n)
 
     return ForwardTrace(
-        angle=enc, h=h, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
+        angle=enc, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
         dropout_mask=r, z=z, z_star=z_star, z_star_sum=z_star.sum(axis=-1), y=y,
         mode=mode)
 
 
-def forward(model, x, hyper, mode="infer", rng=None):
-    """Single-sample forward pass (train mode requires a batch; use infer)."""
-    if mode == "train":
-        raise ValueError("train-mode forward needs a batch of at least two samples")
-    return forward_batch(model, np.atleast_2d(x), hyper, mode=mode, rng=rng)
+def forward(model, x, hyper):
+    """Infer-mode forward pass of one sample; train mode needs a batch."""
+    return forward_batch(model, np.atleast_2d(x), hyper, mode="infer")
 
 
 def loss_value(trace, model, hyper, target):
@@ -415,13 +400,13 @@ def _loss_impl(trace, model, hyper, target, want_grads):
 
     # the angular term compares against the clean target; a zero
     # reconstruction has similarity 0
-    recon_angle = angle(X_clean, x_hat, hyper.theta_clip, paired=True)
+    recon_angle = angle(X_clean, x_hat, THETA_CLIP, paired=True)
     ok = recon_angle.b_norm > 0.0
     c = np.where(ok, recon_angle.similarity, 0.0)
     trace.c_recon = c
 
     recon = hyper.lambda0 * 0.5 * np.sum(diff * diff, axis=(-2, -1)) / n
-    kl = hyper.lambda1 * (np.add.reduce(-np.log(c + hyper.eps), axis=-1) / n)
+    kl = hyper.lambda1 * (np.add.reduce(-np.log(c + EPS), axis=-1) / n)
     sparsity = hyper.lambda2 * (np.add.reduce(trace.z.sum(axis=-1), axis=-1) / n)
     reg = (hyper.lambda3 * np.sum(model.w_enc ** 2, axis=(-2, -1))
            + hyper.lambda4 * np.sum(model.w_dec ** 2, axis=(-2, -1))
@@ -433,19 +418,19 @@ def _loss_impl(trace, model, hyper, target, want_grads):
         return total, None
 
     # d total / d x_hat: euclidean term + KL term through the angle chain
-    dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + hyper.eps)), 0.0)
+    dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + EPS)), 0.0)
     d_xhat = hyper.lambda0 * diff / n + angle_backward(recon_angle, dkl_dc)
 
     d_wdec = d_xhat.swapaxes(-1, -2) @ trace.y + 2.0 * hyper.lambda4 * model.w_dec
     d_y = d_xhat @ model.w_dec
 
     # l1norm_backward is already zero off the top-n support
-    dz_star = l1norm_backward(d_y, trace.z_star, trace.y, hyper.eps)
+    dz_star = l1norm_backward(d_y, trace.z_star, trace.y)
     dz = dz_star + (hyper.lambda2 / n) * (trace.z > 0.0)
     df = dz * trace.dropout_mask
     d_bn = df * (trace.bn_out > 0.0)
 
-    d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered, hyper.eps)
+    d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered)
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
     d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 

@@ -13,6 +13,9 @@ from .errors import NumericalDivergence
 from .initializers import InitResult
 from .net import EndNetModel, HyperParams, forward_batch, loss
 
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -20,8 +23,6 @@ class TrainConfig:
     lr: float = field(default=0.001, metadata={"help": "learning rate"})
     batch_size: int = field(default=64, metadata={"flag": "--batch", "help": "mini-batch size"})
     beta1: float = field(default=0.7, metadata={"help": "Adam first-moment decay"})
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     hyper: HyperParams = field(default_factory=HyperParams)
     corrupt_mask_frac: float = field(default=0.4, metadata={
         "flag": "--mask-noise", "help": "max fraction of bands corrupted per sample"})
@@ -38,11 +39,8 @@ class TrainConfig:
             raise ValueError("lr must be positive and finite")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be positive and finite")
+        if not 0.0 <= self.beta1 < 1.0:
+            raise ValueError("beta1 must lie in [0, 1)")
         if not 0.0 <= self.corrupt_mask_frac <= 1.0:
             raise ValueError("corrupt_mask_frac must lie in [0, 1]")
         if self.corrupt_sigma is not None and not 0.0 <= self.corrupt_sigma < math.inf:
@@ -142,8 +140,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, grads, state, lr, beta1=TrainConfig.beta1, beta2=TrainConfig.beta2,
-              adam_eps=TrainConfig.adam_eps):
+def adam_step(params, grads, state, lr, beta1=TrainConfig.beta1):
     """One bias-corrected Adam update of a parameter array, applied in place."""
     state.t += 1
     t = state.t
@@ -152,9 +149,9 @@ def adam_step(params, grads, state, lr, beta1=TrainConfig.beta1, beta2=TrainConf
     m, v = state.m, state.v
     m *= beta1
     m += (1.0 - beta1) * grads
-    v *= beta2
-    v += (1.0 - beta2) * grads * grads
-    params -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + adam_eps)
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 def _flat_params(model):
@@ -196,7 +193,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
         try:
             loss_val, grads = loss(trace, model, cfg.hyper, clean)
             adam_step(flat, np.concatenate([grads[k].reshape(-1) for k in names]),
-                      state, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                      state, cfg.lr, cfg.beta1)
         except NumericalDivergence as exc:
             raise NumericalDivergence(f"iteration {it}: {exc}") from exc
 

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from endnet import HyperParams, TrainConfig, data_io
+from endnet import EndNetModel, HyperParams, TrainConfig, data_io
 from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -286,3 +286,44 @@ def test_exit_code_empty_csv_cube(tmp_path, capsys, text):
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: CSV cube {path} holds no pixels"]
+
+
+# numpy warns on an empty file; raise that warning, so it cannot pass unseen
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, text, message", [
+    pytest.param("--est-spectra", "0.1,0.2\n0.3,abc\n", "cannot parse spectra CSV {}: ",
+                 id="spectra-non-numeric"),
+    pytest.param("--est-spectra", "0.1,0.2,0.3\n0.4,0.5\n", "cannot parse spectra CSV {}: ",
+                 id="spectra-ragged"),
+    pytest.param("--est-spectra", "", "spectra CSV {} holds no spectra", id="spectra-empty"),
+    pytest.param("--est-abund", "pixel,a1\n", "abundance CSV {} holds no pixels",
+                 id="est-abund-header-only"),
+    pytest.param("--gt-abund", "pixel,a1\n", "abundance CSV {} holds no pixels",
+                 id="gt-abund-header-only")])
+def test_eval_unreadable_csv_is_an_io_error(scene_dir, tmp_path, capsys, flag, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    files = {"--est-spectra": scene_dir / "endmembers.csv",
+             "--gt-spectra": scene_dir / "endmembers.csv",
+             "--est-abund": scene_dir / "abundances.csv",
+             "--gt-abund": scene_dir / "abundances.csv", flag: path}
+    argv = [a for item in files.items() for a in (item[0], str(item[1]))]
+    rc = main(["eval", *argv, "--out-prefix", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message.format(path))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["spu", "hidden"])
+def test_abundances_band_count_mismatch_is_a_config_error(tmp_path, capsys, method):
+    rng = np.random.default_rng(0)
+    EndNetModel.from_endmembers(rng.uniform(0.1, 1.0, (3, 8))).save(tmp_path / "m.endn")
+    np.savetxt(tmp_path / "cube.csv", rng.uniform(0.1, 1.0, (20, 6)), delimiter=",")
+    rc = main(["abundances", "--input", str(tmp_path / "cube.csv"),
+               "--checkpoint", str(tmp_path / "m.endn"), "--method", method,
+               "--out-dir", str(tmp_path / "maps")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: band count mismatch: the cube has 6 bands, the model 8"]
+    assert not (tmp_path / "maps").exists()

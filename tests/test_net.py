@@ -7,11 +7,9 @@ from endnet import EndNetModel, HyperParams, forward, forward_batch, gradcheck, 
 from endnet.errors import NumericalDivergence
 from endnet.gradcheck import (FD_STEP, check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
-from endnet.net import (angle, angle_backward, batchnorm_backward,
+from endnet.net import (THETA_CLIP, angle, angle_backward, batchnorm_backward,
                         batchnorm_forward, l1norm_backward, loss_value,
                         relu_topn_l1)
-
-THETA_CLIP = HyperParams().theta_clip
 
 
 # --- similarity layer -------------------------------------------------------
@@ -140,8 +138,7 @@ def test_bn_mean_is_rho_var_is_one():
 def test_bn_infer_uses_run_stats():
     H = np.array([[1.0, 2.0], [3.0, 4.0]])
     mean, var = np.array([2.0, 3.0]), np.array([1.0, 1.0])
-    out, _, _, _ = batchnorm_forward(H, np.zeros(2), mode="infer",
-                                     run_stats=(mean, var))
+    out, _, _, _ = batchnorm_forward(H, np.zeros(2), run_stats=(mean, var))
     np.testing.assert_allclose(out, (H - mean) / np.sqrt(var + 1e-8))
 
 
@@ -313,7 +310,7 @@ def test_forward_rejects_zero_sample_and_train_single():
     with pytest.raises(ValueError):
         forward(model, np.zeros(12), HyperParams())
     with pytest.raises(ValueError):
-        forward(model, np.ones(12), HyperParams(), mode="train")
+        forward_batch(model, np.ones((1, 12)), HyperParams(), mode="train")
 
 
 def test_dropout_requires_rng_and_scales():
@@ -338,8 +335,7 @@ def test_hyperparams_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lambda0", np.inf), ("lambda1", np.nan), ("lambda5", np.nan), ("dropout_p", np.nan),
-    ("eps", np.nan), ("eps", 0.0), ("theta_clip", np.nan), ("theta_clip", 1.0)])
+    ("lambda0", np.inf), ("lambda1", np.nan), ("lambda5", np.nan), ("dropout_p", np.nan)])
 def test_hyperparams_reject_non_finite_and_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         HyperParams(**{field: value}).validate()
@@ -464,11 +460,12 @@ def test_stacked_forward_and_loss_match_solo_calls(mode, r):
                 solo = _model_with(model, name, stack[i])
                 t = forward_batch(solo, X, hyper, mode=mode, dropout_mask=mask)
                 assert loss_value(t, solo, hyper, X) == totals[i]
-                for field in ("h", "bn_out", "z", "z_star", "y", "x_hat", "c_recon"):
-                    solo_field = getattr(t, field)
+                pairs = [(trace.angle.similarity, t.angle.similarity)] + [
+                    (getattr(trace, f), getattr(t, f))
+                    for f in ("bn_out", "z", "z_star", "y", "x_hat", "c_recon")]
+                for stacked_field, solo_field in pairs:
                     np.testing.assert_array_equal(
-                        np.broadcast_to(getattr(trace, field), (r,) + solo_field.shape)[i],
-                        solo_field)
+                        np.broadcast_to(stacked_field, (r,) + solo_field.shape)[i], solo_field)
                 if mode == "train":
                     _, solo_grads = loss(t, solo, hyper, X)
                     for g, solo_grad in solo_grads.items():
@@ -512,7 +509,7 @@ def test_check_full_loss_one_stacked_call_per_array(monkeypatch):
         ("forward_batch", (30,)), ("loss_value", (30,))]
 
 
-def _central_diff_loop(f, arr, step=FD_STEP):
+def _central_diff_loop(f, arr):
     """The per-element oracle: f evaluated on arr itself, one element moved at a time."""
     arr = np.array(arr, dtype=np.float64)
     grad = np.zeros_like(arr)
@@ -520,7 +517,7 @@ def _central_diff_loop(f, arr, step=FD_STEP):
     for _ in it:
         idx = it.multi_index
         orig = arr[idx]
-        h = step * max(1.0, abs(orig))
+        h = FD_STEP * max(1.0, abs(orig))
         arr[idx] = orig + h
         fp = f(arr)
         arr[idx] = orig - h

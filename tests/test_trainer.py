@@ -269,8 +269,7 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
-    ("log_every", 0), ("beta2", 1.0), ("beta2", np.nan), ("beta1", np.nan),
-    ("lr", np.nan), ("lr", np.inf), ("adam_eps", np.nan),
+    ("log_every", 0), ("beta1", np.nan), ("lr", np.nan), ("lr", np.inf),
     ("corrupt_sigma", np.nan), ("corrupt_sigma", -0.1), ("corrupt_sigma", np.inf),
     ("seed", -1)])
 def test_config_rejects_out_of_range_and_non_finite(field, value):
@@ -345,10 +344,10 @@ def _reference_train(cube, init, cfg):
         noisy = _ref_corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
         n = len(clean)
         # forward
-        enc = _ref_angle(noisy, w_enc, hp.theta_clip)
+        enc = _ref_angle(noisy, w_enc, net.THETA_CLIP)
         h = 1.0 - enc.s / np.pi
         mean, var = h.mean(axis=0), h.var(axis=0)
-        centered = (h - mean) / np.sqrt(var + hp.eps)
+        centered = (h - mean) / np.sqrt(var + net.EPS)
         bn_out = centered + rho
         if hp.dropout_p < 1.0:
             r = (rng.random(bn_out.shape) < hp.dropout_p) / hp.dropout_p
@@ -361,7 +360,7 @@ def _reference_train(cube, init, cfg):
             order = np.argsort(-z, axis=1, kind="stable")
             np.put_along_axis(mask, order[:, :hp.top_n], True, axis=1)
         z_star = z * mask
-        y = z_star / (z_star.sum(axis=1) + hp.eps)[:, None]
+        y = z_star / (z_star.sum(axis=1) + net.EPS)[:, None]
         if run_mean is None:
             run_mean, run_var = mean.copy(), var.copy()
         else:
@@ -370,20 +369,20 @@ def _reference_train(cube, init, cfg):
         # loss
         x_hat = y @ w_dec.T
         diff = x_hat - clean
-        rec = _ref_angle(clean, x_hat, hp.theta_clip, paired=True)
+        rec = _ref_angle(clean, x_hat, net.THETA_CLIP, paired=True)
         ok = rec.b_norm > 0.0
         c = np.where(ok, 1.0 - rec.s / np.pi, 0.0)
         reg = (hp.lambda3 * np.sum(w_enc ** 2) + hp.lambda4 * np.sum(w_dec ** 2)
                + hp.lambda5 * np.sum(rho ** 2))
         total = (hp.lambda0 * 0.5 * np.sum(diff * diff) / n
-                 + hp.lambda1 * np.mean(-np.log(c + hp.eps))
+                 + hp.lambda1 * np.mean(-np.log(c + net.EPS))
                  + hp.lambda2 * np.mean(z.sum(axis=1)) + reg)
-        dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + hp.eps)), 0.0)
+        dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + net.EPS)), 0.0)
         d_xhat = hp.lambda0 * diff / n + net.angle_backward(rec, dkl_dc)
         d_y = d_xhat @ w_dec
-        dz = net.l1norm_backward(d_y, z_star, y, hp.eps) + (hp.lambda2 / n) * (z > 0.0)
+        dz = net.l1norm_backward(d_y, z_star, y) + (hp.lambda2 / n) * (z > 0.0)
         d_bn = dz * r * (bn_out > 0.0)
-        d_h, g_sum = net.batchnorm_backward(d_bn, var, centered, hp.eps)
+        d_h, g_sum = net.batchnorm_backward(d_bn, var, centered)
         grads = {"w_enc": net.angle_backward(enc, d_h) + 2.0 * hp.lambda3 * w_enc,
                  "rho": g_sum + 2.0 * hp.lambda5 * rho,
                  "w_dec": d_xhat.T @ y + 2.0 * hp.lambda4 * w_dec}
@@ -391,10 +390,11 @@ def _reference_train(cube, init, cfg):
         for name, p in params.items():
             g = grads[name]
             adam_m[name] = cfg.beta1 * adam_m[name] + (1.0 - cfg.beta1) * g
-            adam_v[name] = cfg.beta2 * adam_v[name] + (1.0 - cfg.beta2) * g * g
+            adam_v[name] = (trainer.ADAM_BETA2 * adam_v[name]
+                            + (1.0 - trainer.ADAM_BETA2) * g * g)
             m_hat = adam_m[name] / (1.0 - cfg.beta1 ** it)
-            v_hat = adam_v[name] / (1.0 - cfg.beta2 ** it)
-            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            v_hat = adam_v[name] / (1.0 - trainer.ADAM_BETA2 ** it)
+            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
         if it == 1 or it % cfg.log_every == 0 or it == cfg.iters:
             rows.append((float(total), float(z.sum(axis=1).mean()),
                          float(np.mean(np.pi * (1.0 - c)))))
