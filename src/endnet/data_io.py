@@ -11,8 +11,10 @@ import numpy as np
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix, SynthSpec
 from .errors import CubeFormatError, DegenerateCube, NonFiniteValue
 
-_ENVI_DTYPES = {4: np.dtype("f4"), 5: np.dtype("f8"), 12: np.dtype("u2")}
+_ENVI_DTYPES = {1: np.dtype("u1"), 2: np.dtype("i2"), 3: np.dtype("i4"), 4: np.dtype("f4"),
+                5: np.dtype("f8"), 12: np.dtype("u2"), 13: np.dtype("u4")}
 _ENVI_KEYS = {"samples", "lines", "bands", "interleave", "data type", "byte order"}
+_ENVI_OPTIONAL_KEYS = {"header offset"}
 
 
 def _grid_shape(n_pixels):
@@ -34,7 +36,7 @@ def _parse_envi_header(hdr_path):
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip().strip("{}").strip()
-        if key in _ENVI_KEYS:
+        if key in _ENVI_KEYS or key in _ENVI_OPTIONAL_KEYS:
             fields[key] = value
         elif key != "envi":
             ignored.append(key)
@@ -71,6 +73,7 @@ def load_envi(path):
         bands = int(fields["bands"])
         dtype_code = int(fields["data type"])
         byte_order = int(fields["byte order"])
+        offset = int(fields.get("header offset", 0))
     except ValueError as exc:
         raise CubeFormatError(f"non-numeric ENVI header value: {exc}") from exc
     interleave = fields["interleave"].lower()
@@ -82,9 +85,11 @@ def load_envi(path):
         raise CubeFormatError(f"byte order must be 0 or 1, got {byte_order}")
     if min(samples, lines, bands) <= 0:
         raise CubeFormatError("samples/lines/bands must all be positive")
+    if not 0 <= offset <= os.path.getsize(path):
+        raise CubeFormatError(f"header offset {offset} lies outside the data file {path}")
 
     dtype = _ENVI_DTYPES[dtype_code].newbyteorder("<" if byte_order == 0 else ">")
-    raw = np.fromfile(path, dtype=dtype)
+    raw = np.fromfile(path, dtype=dtype, offset=offset)
     expected = samples * lines * bands
     if raw.size != expected:
         raise CubeFormatError(f"payload holds {raw.size} values, header declares {expected}")

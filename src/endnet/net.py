@@ -34,8 +34,6 @@ BN_MOMENTUM = 0.9
 EPS = 1e-8
 # training clamps cosines to +-(1 - THETA_CLIP), where the angle has a finite slope
 THETA_CLIP = 1e-7
-# rows per block when taking row norms; bounds the squared temporary
-_NORM_BLOCK = 4096
 
 
 @dataclass
@@ -177,38 +175,27 @@ def angle(A, B, theta_clip, paired=False):
     ``paired=True`` takes row i of A with row i of B.  Leading replica axes
     of A and B broadcast: (..., N, D) against (..., K, D).  The cosine is
     clamped to +-(1 - theta_clip), where the angle still has a finite slope.
-    Every-pair mode rejects a zero-norm row; paired mode gives a zero-norm
-    row of B (a dead reconstruction) the cosine 0.
+    A zero-norm row of A is rejected in both modes, and so is one of B in
+    every-pair mode; paired mode gives a zero-norm row of B (a dead
+    reconstruction) the cosine 0.  Each product and norm is an ``einsum``
+    reduction over its own row, so a row's result does not depend on the
+    other rows in the call.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    a_norm = _row_norms(A)
-    b_norm = _row_norms(B)
+    a_norm = np.sqrt(np.einsum("...ij,...ij->...i", A, A))
+    b_norm = np.sqrt(np.einsum("...ij,...ij->...i", B, B))
+    if not (a_norm.all() and (paired or b_norm.all())):
+        raise ValueError("a zero-norm spectrum has no angle")
     if paired:
         dot = np.einsum("...ij,...ij->...i", A, B)
         cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
     else:
-        if not (a_norm.all() and b_norm.all()):
-            raise ValueError("a zero-norm spectrum has no angle")
-        dot = A @ B.swapaxes(-1, -2)
+        dot = np.einsum("...nd,...kd->...nk", A, B)
         cos = dot / (a_norm[..., :, None] * b_norm[..., None, :])
     clipped = np.abs(cos) >= 1.0 - theta_clip
     theta = np.minimum(np.maximum(cos, -1.0 + theta_clip), 1.0 - theta_clip)
     return Angle(A, B, a_norm, b_norm, dot, cos, theta, clipped, np.arccos(theta), paired)
-
-
-def _row_norms(A):
-    """``np.linalg.norm(A, axis=-1)`` taken ``_NORM_BLOCK`` rows at a time.
-
-    The same ``sqrt(add.reduce(a * a))`` that ``norm`` evaluates, and each
-    row reduces alone, so the result is bit-identical to one ``norm`` call,
-    without its squared copy of the whole of A.
-    """
-    out = np.empty(A.shape[:-1])
-    for i in range(0, A.shape[-2], _NORM_BLOCK):
-        blk = A[..., i:i + _NORM_BLOCK, :]
-        np.sqrt(np.add.reduce(blk * blk, axis=-1), out=out[..., i:i + _NORM_BLOCK])
-    return out
 
 
 def angle_backward(ang, d_c):

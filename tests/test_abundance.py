@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from endnet import (EndNetModel, HyperCube, SpectraMatrix, estimate_abundances,
-                    fcls, hidden_abundances, spu_abundances, spu_sad)
+from endnet import (EndNetModel, HyperCube, HyperParams, SpectraMatrix,
+                    estimate_abundances, fcls, forward_batch, hidden_abundances,
+                    spu_abundances, spu_sad)
 from endnet.abundance import _pairwise_d2, simplex_project
 from endnet.errors import DegenerateSimplex
 
@@ -385,6 +386,22 @@ def test_hidden_dead_pixel_uniform(caplog):
         amap = hidden_abundances(model, cube)
     np.testing.assert_allclose(amap.values, 1.0 / 3.0, atol=1e-12)
     assert any("all-zero activation" in r.getMessage() for r in caplog.records)
+
+
+def test_unmixing_row_blocks_gives_those_rows_of_the_whole_cube(noisy_scene):
+    """A pixel's abundances do not depend on the other pixels in the call."""
+    cube, endm, _ = noisy_scene
+    model = EndNetModel.from_endmembers(endm.rows)
+    trace = forward_batch(model, cube.data, HyperParams(), mode="train")
+    model.run_mean, model.run_var = trace.bn_mean, trace.bn_var
+    spu = spu_sad(cube.data, endm)
+    hidden = hidden_abundances(model, cube).values
+    for size in (1, 7, 100, 777):
+        for i in range(0, cube.n_pixels, size):
+            rows = cube.data[i:i + size]
+            assert np.array_equal(spu_sad(rows, endm), spu[i:i + size]), (size, i)
+            block = hidden_abundances(model, HyperCube(1, len(rows), cube.bands, rows))
+            assert np.array_equal(block.values, hidden[i:i + size]), (size, i)
 
 
 def test_estimate_abundances_accuracy(small_scene):

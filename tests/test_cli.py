@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, TrainConfig, data_io
+from endnet import EndNetModel, HyperParams, SynthSpec, TrainConfig, data_io
 from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -327,3 +327,18 @@ def test_abundances_band_count_mismatch_is_a_config_error(tmp_path, capsys, meth
     assert capsys.readouterr().err.splitlines() == [
         "error: band count mismatch: the cube has 6 bands, the model 8"]
     assert not (tmp_path / "maps").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_extract_zero_pixel_is_a_config_error_for_every_seed(tmp_path, capsys, seed):
+    # the zero pixel meets the encoder or, after corruption, the loss's
+    # target first, as the seed decides; both give the same one line
+    cube, _, _ = data_io.synth_scene(SynthSpec(k=3, bands=20, n_pixels=100, seed=1))
+    data = cube.data.copy()
+    data[7] = 0.0
+    np.savetxt(tmp_path / "cube.csv", data, delimiter=",")
+    rc = main(["extract", "--input", str(tmp_path / "cube.csv"), "--k", "3",
+               "--iters", "300", "--batch", "16", "--seed", str(seed),
+               "--out-prefix", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["error: a zero-norm spectrum has no angle"]

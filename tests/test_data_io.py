@@ -80,9 +80,9 @@ def test_missing_file():
 
 
 def _write_envi(tmp_path, arr, interleave, dtype_code, byte_order=0,
-                extra="", name="scene"):
+                extra="", name="scene", offset=0):
     lines, samples, bands = arr.shape
-    dtypes = {4: "<f4", 5: "<f8", 12: "<u2"}
+    dtypes = {1: "u1", 2: "<i2", 3: "<i4", 4: "<f4", 5: "<f8", 12: "<u2", 13: "<u4"}
     dt = np.dtype(dtypes[dtype_code])
     if byte_order == 1:
         dt = dt.newbyteorder(">")
@@ -93,7 +93,10 @@ def _write_envi(tmp_path, arr, interleave, dtype_code, byte_order=0,
     else:  # bsq
         raw = arr.transpose(2, 0, 1)
     data_path = tmp_path / name
-    data_path.write_bytes(np.ascontiguousarray(raw, dtype=dt).tobytes())
+    # an embedded header: offset bytes of junk before the payload
+    data_path.write_bytes(b"\xff" * offset + np.ascontiguousarray(raw, dtype=dt).tobytes())
+    if offset:
+        extra += f"header offset = {offset}\n"
     (tmp_path / f"{name}.hdr").write_text(
         "ENVI\n"
         f"samples = {samples}\nlines = {lines}\nbands = {bands}\n"
@@ -124,6 +127,36 @@ def test_envi_uint16(tmp_path):
     path = _write_envi(tmp_path, arr, "bsq", 12)
     cube = load_envi(path)
     np.testing.assert_array_equal(cube.data.reshape(2, 3, 2), arr)
+
+
+@pytest.mark.parametrize("dtype_code, byte_order", [(1, 0), (2, 0), (2, 1), (3, 1), (13, 0)])
+def test_envi_integer_payloads(tmp_path, dtype_code, byte_order):
+    info = np.iinfo({1: np.uint8, 2: np.int16, 3: np.int32, 13: np.uint32}[dtype_code])
+    vals = np.arange(24, dtype=np.int64)
+    vals[0], vals[-1] = info.min, info.max
+    arr = vals.reshape(2, 3, 4).astype(np.float64)
+    path = _write_envi(tmp_path, arr, "bil", dtype_code, byte_order=byte_order)
+    cube = load_envi(path)
+    np.testing.assert_array_equal(cube.data.reshape(2, 3, 4), arr)
+
+
+# a supported key is not warned about as ignored
+@pytest.mark.filterwarnings("error")
+def test_envi_header_offset(tmp_path):
+    arr = np.arange(16, dtype=np.int16).reshape(2, 2, 4).astype(np.float64)
+    path = _write_envi(tmp_path, arr, "bip", 2, offset=16)
+    cube = load_envi(path)
+    np.testing.assert_array_equal(cube.data.reshape(2, 2, 4), arr)
+
+
+@pytest.mark.parametrize("offset", ["-1", "81"])
+def test_envi_header_offset_outside_the_file(tmp_path, offset):
+    arr = np.zeros((2, 2, 4))
+    path = _write_envi(tmp_path, arr, "bip", 4, offset=16)  # 80 bytes in all
+    hdr = tmp_path / "scene.hdr"
+    hdr.write_text(hdr.read_text().replace("header offset = 16", f"header offset = {offset}"))
+    with pytest.raises(CubeFormatError, match=f"header offset {offset} lies outside"):
+        load_envi(path)
 
 
 def test_envi_missing_key(tmp_path):

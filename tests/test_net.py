@@ -43,9 +43,14 @@ def test_sad_similarity_antipodal():
 
 
 def test_sad_similarity_zero_norm():
-    with pytest.raises(ValueError):
-        _pair([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
+    # a zero row of A has no angle in either mode; a zero row of B only in
+    # every-pair mode (paired mode gives it cosine 0, see below)
+    for paired in (False, True):
+        with pytest.raises(ValueError, match="zero-norm"):
+            _pair([0.0, 0.0], [1.0, 1.0], paired)
+        with pytest.raises(ValueError, match="zero-norm"):
+            _pair([[0.2, 0.4], [0.0, 0.0]], [[0.5, 0.1], [0.3, 0.3]], paired)
+    with pytest.raises(ValueError, match="zero-norm"):
         _pair([1.0, 1.0], [0.0, 0.0])
 
 
@@ -57,17 +62,35 @@ def test_angle_paired_zero_reconstruction():
     assert np.isfinite(g).all() and (g[0] == 0.0).all()
 
 
-def test_angle_row_norms_in_blocks_match_one_call():
-    # the norms are taken in blocks; rows straddle two block edges
-    A = np.random.default_rng(16).uniform(0.0, 1.0, (2 * net._NORM_BLOCK + 3, 7))
-    ang = angle(A, A[:2], THETA_CLIP)
-    np.testing.assert_array_equal(ang.a_norm, np.linalg.norm(A, axis=1))
-    assert angle(np.empty((0, 7)), A[:2], THETA_CLIP).s.shape == (0, 2)
+def test_angle_of_a_row_block_matches_those_rows_of_one_call():
+    """A row's norm, product and angle do not depend on the other rows in the call."""
+    A = np.random.default_rng(16).uniform(0.0, 1.0, (2 * 4096 + 3, 7))
+    B = A[:2]
+    whole = angle(A, B, THETA_CLIP)
+    paired = angle(A, A[::-1], THETA_CLIP, paired=True)
+    for size in (1, 7, 100, 4096):
+        for i in range(0, len(A), size):
+            rows = slice(i, i + size)
+            ang = angle(A[rows], B, THETA_CLIP)
+            assert np.array_equal(ang.a_norm, whole.a_norm[rows])
+            assert np.array_equal(ang.dot, whole.dot[rows])
+            assert np.array_equal(ang.s, whole.s[rows])
+            ang = angle(A[rows], A[::-1][rows], THETA_CLIP, paired=True)
+            assert np.array_equal(ang.b_norm, paired.b_norm[rows])
+            assert np.array_equal(ang.s, paired.s[rows])
+    np.testing.assert_allclose(whole.a_norm, np.linalg.norm(A, axis=1), rtol=1e-15, atol=0)
+    assert angle(np.empty((0, 7)), B, THETA_CLIP).s.shape == (0, 2)
     # with replica axes, and values spread over decades
     rng = np.random.default_rng(17)
-    for shape in [(2, 3, net._NORM_BLOCK + 5, 7), (4, 1, 9), (3, 0, 2)]:
+    for shape in [(2, 3, 4096 + 5, 7), (4, 1, 9), (3, 0, 2)]:
         A = rng.lognormal(0.0, 2.0, shape)
-        assert np.array_equal(net._row_norms(A), np.linalg.norm(A, axis=-1))
+        B = rng.lognormal(0.0, 2.0, shape[:-2] + (3, shape[-1]))
+        whole = angle(A, B, THETA_CLIP)
+        np.testing.assert_allclose(whole.a_norm, np.linalg.norm(A, axis=-1), rtol=1e-15, atol=0)
+        for i in range(0, shape[-2], 100):
+            ang = angle(A[..., i:i + 100, :], B, THETA_CLIP)
+            assert np.array_equal(ang.a_norm, whole.a_norm[..., i:i + 100])
+            assert np.array_equal(ang.s, whole.s[..., i:i + 100, :])
 
 
 def test_sad_grad_zero_at_clamp():
@@ -404,6 +427,7 @@ def test_loss_gradients_at_the_top_n_extremes(top_n):
         assert check_full_loss(rng, k=k, hyper=hyper) < 1e-4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_loss_nonfinite_raises():
     rng = np.random.default_rng(14)
     model = _toy_model(rng)
@@ -527,23 +551,25 @@ def _central_diff_loop(f, arr):
     return grad
 
 
-@pytest.mark.parametrize("check", [check_sad, check_batchnorm, check_full_loss])
+@pytest.mark.parametrize("check", [check_sad, check_batchnorm, check_l1norm, check_full_loss])
 def test_stacked_central_diff_matches_the_per_element_loop(check, monkeypatch):
     """Each stacked FD array equals the loop over unstacked evaluations, bit for bit."""
     seen = []
     real = gradcheck._central_diff
 
     def spy(f, arr):
-        # f may close over loop variables of the check: take the oracle now
+        # f may close over loop variables of the check: take the oracle now;
+        # hand back a copy, since check_l1norm edits its FD array in place
         seen.append((real(f, arr), _central_diff_loop(f, arr)))
-        return seen[-1][0]
+        return seen[-1][0].copy()
 
     monkeypatch.setattr(gradcheck, "_central_diff", spy)
     rng = np.random.default_rng(22)
     for _ in range(10):
         check(rng)
-    # sad: every-pair and paired; batchnorm: H and rho; full_loss: 3 arrays
-    assert len(seen) == {check_sad: 20, check_batchnorm: 20, check_full_loss: 30}[check]
+    # sad: every-pair and paired; batchnorm: H and rho; l1norm: z*; full_loss: 3 arrays
+    assert len(seen) == {check_sad: 20, check_batchnorm: 20, check_l1norm: 10,
+                         check_full_loss: 30}[check]
     for stacked, oracle in seen:
         np.testing.assert_array_equal(stacked, oracle)
 

@@ -296,12 +296,13 @@ def test_train_rejects_log_every_zero_before_training(small_scene, small_init):
 # --- bit identity against the plain NumPy step ------------------------------
 
 def _ref_angle(A, B, theta_clip, paired=False):
-    a_norm, b_norm = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+    a_norm = np.sqrt(np.einsum("ij,ij->i", A, A))
+    b_norm = np.sqrt(np.einsum("ij,ij->i", B, B))
     if paired:
         dot = np.einsum("ij,ij->i", A, B)
         cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
     else:
-        dot = A @ B.T
+        dot = np.einsum("nd,kd->nk", A, B)
         cos = dot / np.outer(a_norm, b_norm)
     theta = np.clip(cos, -1.0 + theta_clip, 1.0 - theta_clip)
     return net.Angle(A, B, a_norm, b_norm, dot, cos, theta,
