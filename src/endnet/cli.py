@@ -46,16 +46,19 @@ def _train_config(args):
     return cfg
 
 
-def _extract_once(args, cfg):
-    cube = data_io.normalize_cube(data_io.load_cube(args.input))
+def _load_input(args):
+    return data_io.normalize_cube(data_io.load_cube(args.input))
+
+
+def _extract_once(args, cfg, cube):
     init = (initializers.vca(cube, args.k, cfg.seed) if args.init == "vca"
             else initializers.dmaxd(cube, args.k))
-    model, log = train(cube, init, cfg)
-    return cube, model, log
+    return train(cube, init, cfg)
 
 
 def cmd_extract(args):
-    cube, model, log = _extract_once(args, _train_config(args))
+    cfg = _train_config(args)
+    model, log = _extract_once(args, cfg, _load_input(args))
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     model.save(f"{prefix}.endn")
@@ -103,10 +106,13 @@ def _eval_repeats(args):
     cfg = _train_config(args)
     gt = data_io.load_spectra_csv(args.gt_spectra)
     gt_ab = data_io.load_abundance_csv(args.gt_abund) if args.gt_abund else None
+    cube = _load_input(args)
+    # a ground truth that no estimate could be scored against fails before training
+    evaluation.check_ground_truth(args.k, cube.bands, gt)
     sads, rmses = [], []
     for r in range(args.repeats):
         cfg.seed = args.seed + r
-        cube, model, _ = _extract_once(args, cfg)
+        model, _ = _extract_once(args, cfg, cube)
         est = SpectraMatrix(model.endmembers())
         est_ab = abundance.estimate_abundances(model, cube, method=args.method) \
             if gt_ab is not None else None

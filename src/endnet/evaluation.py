@@ -92,6 +92,15 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def check_ground_truth(count, bands, gt_spectra: SpectraMatrix):
+    """Raise ValueError unless ``count`` estimated spectra of ``bands`` bands
+    can be scored against ``gt_spectra``, which ``evaluate`` needs."""
+    if bands != gt_spectra.bands:
+        raise ValueError("band count mismatch between estimates and ground truth")
+    if count < gt_spectra.count:
+        raise ValueError("need at least as many estimates as ground-truth rows")
+
+
 def evaluate(estimated: SpectraMatrix, gt_spectra: SpectraMatrix,
              abundances: AbundanceMap | None = None,
              gt_abundances: AbundanceMap | None = None,
@@ -102,8 +111,7 @@ def evaluate(estimated: SpectraMatrix, gt_spectra: SpectraMatrix,
     abundance maps are given; estimates beyond the ground-truth count are
     reported but excluded from the averages.
     """
-    if estimated.bands != gt_spectra.bands:
-        raise ValueError("band count mismatch between estimates and ground truth")
+    check_ground_truth(estimated.count, estimated.bands, gt_spectra)
     cost = angle(estimated.rows, gt_spectra.rows, 0.0).s
     assignment = _assign(cost, greedy)
     pairs = sorted(assignment.items(), key=lambda kv: kv[1])

@@ -4,11 +4,15 @@ change is held to.
 The seed 0-2 checkpoint hashes are those recorded in CHANGES.md when the
 angle kernel became one einsum reduction per row; a change that moves any
 of these values changes training or the gradients, not only their code.
+The full_loss instance digest holds the gradient check's random instances
+to the one-at-a-time search they were first drawn by.
 """
 
 import hashlib
 
-from endnet import TrainConfig, dmaxd, train
+import numpy as np
+
+from endnet import TrainConfig, dmaxd, gradcheck, train
 from endnet.gradcheck import run_all
 
 # .endn SHA-256 per seed: the normalized 40 dB acceptance scene, dmaxd, 2000 iterations
@@ -24,6 +28,9 @@ RUN_ALL_50_0 = {
     "l1norm": 5.630353994037719e-10,
     "full_loss": 3.3006672353363044e-05,
 }
+# SHA-256 of the bytes of the 50 full_loss instances of run_all(trials=50, seed=0):
+# w_enc, rho, w_dec, X and the dropout mask of each, in call order
+FULL_LOSS_INSTANCES_50_0 = "64a57b419466ed430f99fd84c84f41df26867cad598b6d0d8479714ea4780cef"
 
 
 def test_reference_checkpoints_and_gradcheck_errors(noisy_scene, tmp_path):
@@ -36,3 +43,21 @@ def test_reference_checkpoints_and_gradcheck_errors(noisy_scene, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, seed
     results, _ = run_all(50, 0)
     assert results == RUN_ALL_50_0
+
+
+def test_full_loss_instances_of_run_all(monkeypatch):
+    digest = hashlib.sha256()
+    calls = []
+    real = gradcheck._random_instance
+
+    def spy(*args, **kwargs):
+        model, X, mask = real(*args, **kwargs)
+        for arr in (model.w_enc, model.rho, model.w_dec, X, mask):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        calls.append(X.shape)
+        return model, X, mask
+
+    monkeypatch.setattr(gradcheck, "_random_instance", spy)
+    run_all(50, 0)
+    assert len(calls) == 50
+    assert digest.hexdigest() == FULL_LOSS_INSTANCES_50_0

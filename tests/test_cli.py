@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, SynthSpec, TrainConfig, data_io
+from endnet import EndNetModel, HyperParams, SynthSpec, TrainConfig, cli, data_io
 from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -110,6 +110,23 @@ def test_eval_repeats(scene_dir, tmp_path, capsys):
     assert text[0] == "endmember,mean_sad,std_sad,mean_rmse,std_rmse"
     assert len(text) == 4
     assert "mean SAD over 2 runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gt_rows, gt_bands, message", [
+    (3, 25, "need at least as many estimates as ground-truth rows"),
+    (2, 20, "band count mismatch between estimates and ground truth")])
+def test_eval_repeats_rejects_the_ground_truth_before_training(
+        scene_dir, tmp_path, capsys, monkeypatch, gt_rows, gt_bands, message):
+    def untrained(*args):
+        raise AssertionError("train must not run")
+
+    monkeypatch.setattr(cli, "train", untrained)
+    gt = tmp_path / "gt.csv"
+    np.savetxt(gt, np.full((gt_rows, gt_bands), 0.5), delimiter=",")
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"), "--gt-spectra", str(gt),
+               "--k", "2", "--repeats", "2", *_FAST_TRAIN, "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_gradcheck_ok(capsys):

@@ -513,7 +513,7 @@ def test_stacked_model_has_no_checkpoint_and_replica_axes_must_broadcast(tmp_pat
 
 def test_check_full_loss_one_stacked_call_per_array(monkeypatch):
     calls = []
-    real_forward, real_loss_value = net.forward_batch, net.loss_value
+    real_forward, real_loss_value, real_loss = net.forward_batch, net.loss_value, net.loss
 
     def forward_spy(model, *args, **kwargs):
         calls.append(("forward_batch", model.replicas))
@@ -523,14 +523,84 @@ def test_check_full_loss_one_stacked_call_per_array(monkeypatch):
         calls.append(("loss_value", model.replicas))
         return real_loss_value(trace, model, *args, **kwargs)
 
+    def loss_spy(trace, model, *args, **kwargs):
+        calls.append(("loss", model.replicas))
+        return real_loss(trace, model, *args, **kwargs)
+
     monkeypatch.setattr(net, "forward_batch", forward_spy)
     monkeypatch.setattr(net, "loss_value", loss_value_spy)
+    monkeypatch.setattr(net, "loss", loss_spy)
     check_full_loss(np.random.default_rng(21), d=5, k=3, n=4)
-    # 2P replicas: w_enc and w_dec hold 15 elements each, rho 3
-    assert [c for c in calls if c[1]] == [
+    assert gradcheck.SEARCH_BLOCK == 16
+    assert calls == [
+        # the search: no candidate of the first block clears the forward
+        # screens, so only the second block reaches the loss
+        ("forward_batch", (16,)),
+        ("forward_batch", (16,)), ("loss_value", (16,)),
+        # the analytic gradients of the instance
+        ("forward_batch", ()), ("loss", ()),
+        # 2P replicas: w_enc and w_dec hold 15 elements each, rho 3
         ("forward_batch", (30,)), ("loss_value", (30,)),
         ("forward_batch", (6,)), ("loss_value", (6,)),
         ("forward_batch", (30,)), ("loss_value", (30,))]
+
+
+def _random_instance_loop(rng, d, k, n, hyper):
+    """The one-at-a-time search: each candidate drawn, run through its own
+    forward pass and screened alone, which ``_random_instance`` must match
+    in its instance and in the generator state it leaves."""
+    for _ in range(gradcheck.MAX_CANDIDATES):
+        X = rng.uniform(0.1, 1.0, (n, d))
+        model = EndNetModel(
+            w_enc=rng.uniform(0.1, 1.0, (k, d)),
+            rho=rng.normal(0.2, 0.5, k),
+            w_dec=rng.uniform(0.05, 1.0, (d, k)))
+        trace = forward_batch(model, X, hyper, mode="train", rng=rng)
+        if np.abs(trace.bn_out).min() < gradcheck.KINK_MARGIN:
+            continue
+        if np.abs(trace.angle.theta).max() > 1.0 - 1e-3:
+            continue
+        if hyper.top_n < k:
+            zs = -np.sort(-trace.z, axis=1)
+            if (zs[:, hyper.top_n - 1] - zs[:, hyper.top_n]).min() < gradcheck.KINK_MARGIN:
+                continue
+        if trace.z_star_sum.min() < 1e-3:
+            continue
+        loss_value(trace, model, hyper, X)
+        if trace.c_recon.min() < 0.02 or trace.c_recon.max() > 1.0 - 1e-3:
+            continue
+        return model, X, trace.dropout_mask
+    raise RuntimeError("could not sample a kink-free gradcheck instance")
+
+
+@pytest.mark.parametrize("setting", ["default", "dropout", "top_n=1", "top_n=k"])
+def test_block_search_returns_the_instance_of_the_one_at_a_time_search(setting):
+    raised = 0
+    for seed in range(40):
+        shape_rng = np.random.default_rng(1000 + seed)
+        d, k, n = (int(shape_rng.integers(5, 21)), int(shape_rng.integers(2, 7)),
+                   int(shape_rng.integers(2, 9)))
+        hyper = {"default": HyperParams(top_n=min(HyperParams.top_n, k)),
+                 "dropout": HyperParams(top_n=min(HyperParams.top_n, k), dropout_p=0.5),
+                 "top_n=1": HyperParams(top_n=1),
+                 "top_n=k": HyperParams(top_n=k)}[setting]
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = _random_instance_loop(oracle_rng, d, k, n, hyper)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="kink-free"):
+                gradcheck._random_instance(rng, d, k, n, hyper)
+            raised += 1
+        else:
+            model, X, mask = gradcheck._random_instance(rng, d, k, n, hyper)
+            for name in ("w_enc", "rho", "w_dec"):
+                assert np.array_equal(getattr(model, name), getattr(expected[0], name)), seed
+            assert np.array_equal(X, expected[1]), seed
+            assert np.array_equal(mask, expected[2]), seed
+            assert mask.dtype == expected[2].dtype and mask.shape == (n, k)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+    # both searches give up only where the mask's zeros leave ties in the top n
+    assert raised == {"dropout": 8}.get(setting, 0)
 
 
 def _central_diff_loop(f, arr):
