@@ -69,7 +69,7 @@ def cmd_extract(args):
 
 
 def cmd_abundances(args):
-    cube = data_io.normalize_cube(data_io.load_cube(args.input))
+    cube = _load_input(args)
     model = EndNetModel.load(args.checkpoint)
     amap = abundance.estimate_abundances(model, cube, method=args.method)
     paths = data_io.save_abundance_maps(amap, args.out_dir)
@@ -108,7 +108,7 @@ def _eval_repeats(args):
     gt_ab = data_io.load_abundance_csv(args.gt_abund) if args.gt_abund else None
     cube = _load_input(args)
     # a ground truth that no estimate could be scored against fails before training
-    evaluation.check_ground_truth(args.k, cube.bands, gt)
+    evaluation.check_ground_truth(args.k, cube.bands, gt, gt_ab, cube.n_pixels)
     sads, rmses = [], []
     for r in range(args.repeats):
         cfg.seed = args.seed + r

@@ -92,13 +92,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def check_ground_truth(count, bands, gt_spectra: SpectraMatrix):
-    """Raise ValueError unless ``count`` estimated spectra of ``bands`` bands
-    can be scored against ``gt_spectra``, which ``evaluate`` needs."""
+def check_ground_truth(count, bands, gt_spectra: SpectraMatrix,
+                       gt_abundances: AbundanceMap | None = None, n_pixels=None):
+    """Raise ValueError unless ``count`` estimated spectra of ``bands`` bands,
+    and abundances over ``n_pixels`` pixels, can be scored against the ground
+    truth, which ``evaluate`` needs."""
     if bands != gt_spectra.bands:
         raise ValueError("band count mismatch between estimates and ground truth")
     if count < gt_spectra.count:
         raise ValueError("need at least as many estimates as ground-truth rows")
+    if gt_abundances is not None:
+        if gt_abundances.k != gt_spectra.count:
+            raise ValueError(f"the ground-truth abundance map has {gt_abundances.k} columns "
+                             f"for {gt_spectra.count} ground-truth rows")
+        if gt_abundances.n_pixels != n_pixels:
+            raise ValueError(f"the ground-truth abundance map covers {gt_abundances.n_pixels} "
+                             f"pixels, the estimates {n_pixels}")
 
 
 def evaluate(estimated: SpectraMatrix, gt_spectra: SpectraMatrix,
@@ -111,18 +120,20 @@ def evaluate(estimated: SpectraMatrix, gt_spectra: SpectraMatrix,
     abundance maps are given; estimates beyond the ground-truth count are
     reported but excluded from the averages.
     """
-    check_ground_truth(estimated.count, estimated.bands, gt_spectra)
+    scored = abundances is not None and gt_abundances is not None
+    check_ground_truth(estimated.count, estimated.bands, gt_spectra,
+                       gt_abundances if scored else None,
+                       abundances.n_pixels if scored else None)
+    if scored and abundances.k != estimated.count:
+        raise ValueError(f"the estimated abundance map has {abundances.k} columns "
+                         f"for {estimated.count} estimates")
     cost = angle(estimated.rows, gt_spectra.rows, 0.0).s
     assignment = _assign(cost, greedy)
     pairs = sorted(assignment.items(), key=lambda kv: kv[1])
     sads = [float(cost[i, j]) for i, j in pairs]
 
     rmses = None
-    if abundances is not None and gt_abundances is not None:
-        if abundances.k != estimated.count or gt_abundances.k != gt_spectra.count:
-            raise ValueError("abundance map width must match the spectra counts")
-        if abundances.n_pixels != gt_abundances.n_pixels:
-            raise ValueError("abundance maps cover different pixel counts")
+    if scored:
         rmses = [rmse_metric(gt_abundances.values[:, j], abundances.values[:, i])
                  for i, j in pairs]
 

@@ -112,7 +112,7 @@ def check_batchnorm(rng, n=None, k=None):
 
 
 def check_l1norm(rng, k=None):
-    """FD check of the l1-normalization backward on the active entries."""
+    """FD check of ``net.l1norm_backward`` against ``net.l1norm`` on the active entries."""
     k = k or int(rng.integers(2, 7))
     z_star = rng.uniform(0.5, 3.0, k)
     z_star[rng.random(k) < 0.3] = 0.0
@@ -123,11 +123,9 @@ def check_l1norm(rng, k=None):
     G = rng.normal(0.0, 1.0, k)
 
     def value(zs):
-        ys = zs / (zs.sum(axis=-1, keepdims=True) + net.EPS)
-        return np.einsum("...k,k->...", ys, G)
+        return np.einsum("...k,k->...", net.l1norm(zs), G)
 
-    y = z_star / (z_star.sum() + net.EPS)
-    analytic = net.l1norm_backward(G, z_star, y)
+    analytic = net.l1norm_backward(G, z_star, net.l1norm(z_star))
     fd = _central_diff(value, z_star)
     fd[z_star == 0.0] = 0.0  # spec'd convention at the kink
     return rel_error(analytic, fd)
@@ -137,30 +135,30 @@ def _random_instance(rng, d, k, n, hyper):
     """Sample a model, batch and dropout mask whose forward sits away from every kink.
 
     Candidates are drawn one after another, as a one-at-a-time search would
-    draw them: the batch, the three arrays and, with ``hyper.dropout_p < 1``,
-    the mask that training would draw.  They are screened in blocks of
-    ``SEARCH_BLOCK`` on the replica axis: one stacked forward pass, and one
-    loss pass when a candidate clears the forward screens.  The first
+    draw them: the batch, the three arrays and the mask that training would
+    draw, with ``net.dropout_mask`` (all ones at ``dropout_p == 1``).  They
+    are screened in blocks of ``SEARCH_BLOCK`` on the replica axis: one
+    stacked forward pass, and one loss pass when a candidate clears the
+    forward screens.  The first
     candidate that clears every screen is returned, and ``rng`` is set back
     to its state right after that candidate's draws, so instance and state
     do not depend on the block size.
     """
-    p = hyper.dropout_p
     for start in range(0, MAX_CANDIDATES, SEARCH_BLOCK):
         size = min(SEARCH_BLOCK, MAX_CANDIDATES - start)
         X = np.empty((size, n, d))
         w_enc = np.empty((size, k, d))
         rho = np.empty((size, k))
         w_dec = np.empty((size, d, k))
-        mask = np.ones((size, n, k))
+        mask = np.empty((size, n, k))
         states = []
         for j in range(size):
             X[j] = rng.uniform(0.1, 1.0, (n, d))
             w_enc[j] = rng.uniform(0.1, 1.0, (k, d))
             rho[j] = rng.normal(0.2, 0.5, k)
             w_dec[j] = rng.uniform(0.05, 1.0, (d, k))
-            if p < 1.0:
-                mask[j] = (rng.random((n, k)) < p) / p
+            r = net.dropout_mask(rng, (n, k), hyper.dropout_p)
+            mask[j] = 1.0 if r is None else r
             states.append(rng.bit_generator.state)
         model = net.EndNetModel(w_enc=w_enc, rho=rho, w_dec=w_dec)
         trace = net.forward_batch(model, X, hyper, mode="train", dropout_mask=mask)

@@ -5,7 +5,9 @@ spectral-angle similarity, applies shift-only batch normalization, ReLU,
 dropout, hard top-n selection and l1 normalization; the decoder is a plain
 bias-free linear map whose columns converge to the endmembers.  All
 gradients are derived by hand and checked against finite differences in
-the gradcheck module.
+the gradcheck module.  Nothing here draws at random: the dropout mask is an
+input, drawn with ``dropout_mask`` by the training loop for each batch and
+by the gradient check for each instance.
 
 Every layer, forward and backward, and the loss take a leading replica
 axis, ``(..., N, .)``: a model whose parameter arrays carry extra leading
@@ -224,7 +226,7 @@ class ForwardTrace:
     bn_var: np.ndarray
     bn_centered: np.ndarray   # (similarity - mean) / std, N x K
     bn_out: np.ndarray
-    dropout_mask: np.ndarray  # r in {0, 1/p}
+    dropout_mask: np.ndarray  # r in {0, 1/p}, a broadcast 1.0 without dropout
     z: np.ndarray
     z_star: np.ndarray
     z_star_sum: np.ndarray    # l1 mass per sample
@@ -282,11 +284,13 @@ def relu_topn_l1(z_pre, dropout_mask, top_n):
     z_pre = np.atleast_2d(np.asarray(z_pre, dtype=np.float64))
     r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), z_pre.shape)
     z = r * (z_pre * (z_pre > 0.0))
-    mask = _topn_mask(z, top_n)
-    z_star = z * mask
-    s = z_star.sum(axis=-1)
-    y = z_star / (s + EPS)[..., None]
-    return z, z_star, y
+    z_star = z * _topn_mask(z, top_n)
+    return z, z_star, l1norm(z_star)
+
+
+def dropout_mask(rng, shape, p):
+    """Inverted-dropout mask r in {0, 1/p}, keep probability p; None, no draw, at p == 1."""
+    return None if p >= 1.0 else (rng.random(shape) < p) / p
 
 
 def _topn_mask(z, top_n):
@@ -303,8 +307,13 @@ def _topn_mask(z, top_n):
     return mask.reshape(z.shape)
 
 
+def l1norm(z_star):
+    """l1 normalization y = z*/(||z*||_1 + EPS) of each row; a row with no mass gives 0."""
+    return z_star / (z_star.sum(axis=-1) + EPS)[..., None]
+
+
 def l1norm_backward(d_y, z_star, y):
-    """Exact backward of y = z*/(||z*||_1 + EPS).
+    """Exact backward of ``l1norm``, y = z*/(||z*||_1 + EPS).
 
     Entries where z*_k = 0 (including rows with no mass) get zero gradient.
     """
@@ -315,12 +324,12 @@ def l1norm_backward(d_y, z_star, y):
     return np.where(z_star > 0.0, dz, 0.0)
 
 
-def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
+def forward_batch(model, X, hyper, mode="train", dropout_mask=None):
     """Run the encoder on an N x D batch; returns a ForwardTrace.
 
     The decoder runs in the loss, which is the only reader of its output.
-    Dropout applies only in train mode (inverted convention); pass an
-    explicit ``dropout_mask`` to pin it, e.g. for gradient checks.
+    ``dropout_mask`` scales the gated activations, as the function of that
+    name draws it; None, the default and the inference case, is no dropout.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[-1] != model.d:
@@ -331,15 +340,7 @@ def forward_batch(model, X, hyper, mode="train", rng=None, dropout_mask=None):
     run_stats = None if mode == "train" else (model.run_mean, model.run_var)
     bn_out, mean, var, centered = batchnorm_forward(enc.similarity, model.rho, run_stats)
 
-    if dropout_mask is not None:
-        r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), bn_out.shape)
-    elif mode == "train" and hyper.dropout_p < 1.0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
-        r = (rng.random(bn_out.shape) < hyper.dropout_p) / hyper.dropout_p
-    else:
-        r = np.ones_like(bn_out)
-
+    r = np.broadcast_to(1.0 if dropout_mask is None else dropout_mask, bn_out.shape)
     z, z_star, y = relu_topn_l1(bn_out, r, hyper.top_n)
 
     return ForwardTrace(

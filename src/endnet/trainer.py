@@ -11,7 +11,7 @@ import numpy as np
 from .datatypes import HyperCube
 from .errors import NumericalDivergence
 from .initializers import InitResult
-from .net import EndNetModel, HyperParams, forward_batch, loss
+from .net import EndNetModel, HyperParams, dropout_mask, forward_batch, loss
 
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -188,7 +188,8 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
         idx = rng.integers(0, n, size=cfg.batch_size)
         clean = pixels[idx]
         noisy = corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
-        trace = forward_batch(model, noisy, cfg.hyper, mode="train", rng=rng)
+        mask = dropout_mask(rng, (cfg.batch_size, model.k), cfg.hyper.dropout_p)
+        trace = forward_batch(model, noisy, cfg.hyper, mode="train", dropout_mask=mask)
         model.update_run_stats(trace.bn_mean, trace.bn_var)
         try:
             loss_val, grads = loss(trace, model, cfg.hyper, clean)

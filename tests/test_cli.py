@@ -5,7 +5,8 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, SynthSpec, TrainConfig, cli, data_io
+from endnet import (AbundanceMap, EndNetModel, HyperParams, SynthSpec, TrainConfig, cli,
+                    data_io)
 from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -75,6 +76,33 @@ def test_extract_vca_from_envi_cube(scene_dir, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+_HEADER = ("ENVI\nsamples = 2\nlines = 2\nbands = 3\n"
+           "data type = 4\ninterleave = bip\nbyte order = 0\n")
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(None, "no ENVI header found next to {}", id="missing-hdr"),
+    pytest.param(("samples = 2", "samples = two"),
+                 "non-numeric ENVI header value: invalid literal for int() with base 10: 'two'",
+                 id="non-numeric-samples"),
+    pytest.param(("data type = 4", "data type = 6"), "unsupported ENVI data type 6",
+                 id="data-type-6"),
+    pytest.param(("byte order = 0", "byte order = 2"), "byte order must be 0 or 1, got 2",
+                 id="byte-order-2"),
+    pytest.param(("bands = 3", "bands = 0"), "samples/lines/bands must all be positive",
+                 id="bands-0")])
+def test_extract_bad_envi_header_is_an_io_error(tmp_path, capsys, fault, message):
+    img = tmp_path / "cube.img"
+    np.full(12, 0.5, dtype="<f4").tofile(img)
+    if fault is not None:
+        (tmp_path / "cube.img.hdr").write_text(_HEADER.replace(*fault))
+    rc = main(["extract", "--input", str(img), "--k", "2", *_FAST_TRAIN,
+               "--out-prefix", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(img)]
+    assert not (tmp_path / "run.endn").exists()
+
+
 def test_abundances_hidden(scene_dir, tmp_path):
     prefix = tmp_path / "run"
     rc = main(["extract", "--input", str(scene_dir / "cube.csv"), "--k", "3",
@@ -112,18 +140,46 @@ def test_eval_repeats(scene_dir, tmp_path, capsys):
     assert "mean SAD over 2 runs" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("gt_rows, gt_bands, message", [
-    (3, 25, "need at least as many estimates as ground-truth rows"),
-    (2, 20, "band count mismatch between estimates and ground truth")])
+def test_eval_repeats_without_abundances_leaves_the_rmse_columns_empty(scene_dir, tmp_path):
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
+               "--gt-spectra", str(scene_dir / "endmembers.csv"),
+               "--k", "3", "--repeats", "2", *_FAST_TRAIN,
+               "--out-prefix", str(tmp_path / "rep")])
+    assert rc == 0
+    text = (tmp_path / "rep_repeats.csv").read_text().strip().splitlines()
+    assert text[0] == "endmember,mean_sad,std_sad,mean_rmse,std_rmse"
+    assert [row.split(",")[0] for row in text[1:]] == ["1", "2", "3"]
+    assert all(row.endswith(",,") and row.count(",") == 4 for row in text[1:])
+
+
+_TOO_FEW = "need at least as many estimates as ground-truth rows"
+_BANDS = "band count mismatch between estimates and ground truth"
+
+
+# the spectra cases keep the ids they had when the test took no abundance map
+@pytest.mark.parametrize("gt_rows, gt_bands, gt_abund, message", [
+    pytest.param(3, 25, None, _TOO_FEW, id=f"3-25-{_TOO_FEW}"),
+    pytest.param(2, 20, None, _BANDS, id=f"2-20-{_BANDS}"),
+    pytest.param(2, 25, (64, 2),
+                 "the ground-truth abundance map covers 64 pixels, the estimates 100",
+                 id="abundance-pixel-count"),
+    pytest.param(2, 25, (100, 3),
+                 "the ground-truth abundance map has 3 columns for 2 ground-truth rows",
+                 id="abundance-width")])
 def test_eval_repeats_rejects_the_ground_truth_before_training(
-        scene_dir, tmp_path, capsys, monkeypatch, gt_rows, gt_bands, message):
+        scene_dir, tmp_path, capsys, monkeypatch, gt_rows, gt_bands, gt_abund, message):
     def untrained(*args):
         raise AssertionError("train must not run")
 
     monkeypatch.setattr(cli, "train", untrained)
     gt = tmp_path / "gt.csv"
     np.savetxt(gt, np.full((gt_rows, gt_bands), 0.5), delimiter=",")
-    rc = main(["eval", "--input", str(scene_dir / "cube.csv"), "--gt-spectra", str(gt),
+    abund = []
+    if gt_abund is not None:
+        n, k = gt_abund
+        data_io.save_abundance_maps(AbundanceMap(1, n, np.full((n, k), 1.0 / k)), tmp_path)
+        abund = ["--gt-abund", str(tmp_path / "abundances.csv")]
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"), "--gt-spectra", str(gt), *abund,
                "--k", "2", "--repeats", "2", *_FAST_TRAIN, "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -122,7 +122,18 @@ def test_evaluate_extra_estimates_excluded():
     report = evaluate(estimated, truth)
     assert len(report.per_endmember_sad) == 3
     assert report.avg_sad < 1e-7
-    assert len(report.unmatched_estimates) == 1
+    assert report.unmatched_estimates == [3]
+    assert report.to_text().splitlines()[-1] == (
+        "unmatched estimates (excluded from averages): [4]")
+
+
+def test_evaluate_rejects_abundance_maps_of_other_pixel_counts():
+    truth = _spectra(7, 3)
+    gt_ab = AbundanceMap(2, 5, np.full((10, 3), 1.0 / 3))
+    est_ab = AbundanceMap(2, 4, np.full((8, 3), 1.0 / 3))
+    with pytest.raises(ValueError, match="^the ground-truth abundance map covers 10 pixels, "
+                                         "the estimates 8$"):
+        evaluate(truth, truth, est_ab, gt_ab)
 
 
 def test_evaluate_band_mismatch():

@@ -336,16 +336,15 @@ def test_forward_rejects_zero_sample_and_train_single():
         forward_batch(model, np.ones((1, 12)), HyperParams(), mode="train")
 
 
-def test_dropout_requires_rng_and_scales():
+def test_dropout_mask_scales_and_draws_nothing_at_p_one():
     rng = np.random.default_rng(11)
-    model = _toy_model(rng)
-    X = rng.uniform(0.1, 1.0, (6, 12))
-    hyper = HyperParams(dropout_p=0.5)
-    with pytest.raises(ValueError):
-        forward_batch(model, X, hyper, mode="train")
-    trace = forward_batch(model, X, hyper, mode="train",
-                          rng=np.random.default_rng(0))
-    assert set(np.unique(trace.dropout_mask)) <= {0.0, 2.0}
+    for p in (0.5, 0.8):
+        mask = net.dropout_mask(rng, (40, 5), p)
+        assert mask.shape == (40, 5)
+        assert set(np.unique(mask)) == {0.0, 1.0 / p}
+    state = rng.bit_generator.state
+    assert net.dropout_mask(rng, (40, 5), 1.0) is None
+    assert rng.bit_generator.state == state
 
 
 def test_hyperparams_validation():
@@ -401,9 +400,9 @@ def test_loss_gradients_under_pinned_dropout(monkeypatch):
     masks = []
     real = net.forward_batch
 
-    def spy(model, X, hyper, mode="train", rng=None, dropout_mask=None):
+    def spy(model, X, hyper, mode="train", dropout_mask=None):
         masks.append(dropout_mask)
-        return real(model, X, hyper, mode, rng, dropout_mask)
+        return real(model, X, hyper, mode, dropout_mask)
 
     monkeypatch.setattr(net, "forward_batch", spy)
     rng = np.random.default_rng(17)
@@ -555,7 +554,8 @@ def _random_instance_loop(rng, d, k, n, hyper):
             w_enc=rng.uniform(0.1, 1.0, (k, d)),
             rho=rng.normal(0.2, 0.5, k),
             w_dec=rng.uniform(0.05, 1.0, (d, k)))
-        trace = forward_batch(model, X, hyper, mode="train", rng=rng)
+        trace = forward_batch(model, X, hyper, mode="train",
+                              dropout_mask=net.dropout_mask(rng, (n, k), hyper.dropout_p))
         if np.abs(trace.bn_out).min() < gradcheck.KINK_MARGIN:
             continue
         if np.abs(trace.angle.theta).max() > 1.0 - 1e-3:
