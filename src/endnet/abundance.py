@@ -8,11 +8,12 @@ constrained least-squares solver used as an independent oracle.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix
-from .errors import DegenerateSimplex
+from .errors import DegenerateSimplex, NonFiniteValue
 from .net import THETA_CLIP, HyperParams, angle, forward_batch
 
 log = logging.getLogger(__name__)
@@ -23,9 +24,12 @@ _NEG_TOL = -1e-10
 def _pairwise_d2(spectra, pixels, kernel):
     """Squared feature-space distances: K x K among endmembers, N x K to the pixels.
 
-    With ``kernel='sad'``, angularly coincident endmembers raise
-    DegenerateSimplex: they collapse the feature-space simplex.
+    Non-finite endmembers raise NonFiniteValue.  With ``kernel='sad'``,
+    angularly coincident endmembers raise DegenerateSimplex: they collapse
+    the feature-space simplex.
     """
+    if not np.isfinite(spectra).all():
+        raise NonFiniteValue("endmembers contain NaN/Inf values")
     if kernel == "sad":
         # SPU clamps cosines as training does
         ee = angle(spectra, spectra, THETA_CLIP)
@@ -54,6 +58,8 @@ def _bary_solve(d2_ee, d2_ep, active):
 
     Uses the last active vertex as reference: G_ij = <v_i - v_r, v_j - v_r>
     recovered from distances, then one linear solve call for all N pixels.
+    The distances among the vertices are finite, so a non-finite solution
+    comes from a non-finite pixel.
     """
     m = len(active)
     if m == 1:
@@ -63,34 +69,31 @@ def _bary_solve(d2_ee, d2_ep, active):
     dr = d2_ee[others, ref]
     G = 0.5 * (dr[:, None] + dr[None, :] - d2_ee[np.ix_(others, others)])
     B = 0.5 * (dr + d2_ep[:, [ref]] - d2_ep[:, others])
-    try:
-        if np.linalg.cond(G) > 1e12:
-            raise DegenerateSimplex("ill-conditioned simplex system")
-        # G broadcast over one right-hand side per pixel: each pixel gets the
-        # arithmetic of a one-pixel solve, where a multi-column solve would
-        # differ in the last bits and move coordinates near 0 across the clamp
-        sol = np.linalg.solve(G, B[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSimplex(f"coincident endmembers: {exc}") from exc
+    if np.linalg.cond(G) > 1e12:
+        raise DegenerateSimplex("ill-conditioned simplex system")
+    # G broadcast over one right-hand side per pixel: each pixel gets the
+    # arithmetic of a one-pixel solve, where a multi-column solve would
+    # differ in the last bits and move coordinates near 0 across the clamp
+    sol = np.linalg.solve(G, B[:, :, None])[:, :, 0]
     if not np.isfinite(sol).all():
-        raise DegenerateSimplex("non-finite barycentric solve")
+        raise NonFiniteValue("pixels contain NaN/Inf values")
     return np.column_stack([sol, 1.0 - sol.sum(axis=1)])
 
 
-def simplex_project(d2_ee, d2_ep, k):
+def simplex_project(d2_ee, d2_ep):
     """Project points onto the simplex of k vertices given mutual distances.
 
-    ``d2_ep`` holds one point's squared distances to the vertices (k,) or
-    N points' (N, k); the result has the same shape.  Solves the affine
-    system; while any coordinate of a point is negative, drops the vertex
-    with the most negative coordinate (ties: lower index) and re-solves on
-    the facet.  Points that reach the same facet share one solve.  Dropped
-    vertices get zero abundance.
+    ``d2_ee`` holds the k x k distances among the vertices, ``d2_ep`` one
+    point's squared distances to them (k,) or N points' (N, k); the result
+    has the same shape.  Solves the affine system; while any coordinate of
+    a point is negative, drops the vertex with the most negative coordinate
+    (ties: lower index) and re-solves on the facet.  Points that reach the
+    same facet share one solve.  Dropped vertices get zero abundance.
     """
     d2_ep = np.asarray(d2_ep, dtype=np.float64)
     rows = np.atleast_2d(d2_ep)
     out = np.zeros(rows.shape)
-    pending = {tuple(range(k)): [np.arange(rows.shape[0])]}
+    pending = {tuple(range(len(d2_ee))): [np.arange(rows.shape[0])]}
     while pending:
         # facets only shrink, so every point bound for a facet is in before it is solved
         active = max(pending, key=len)
@@ -120,7 +123,7 @@ def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
         raise ValueError("simplex projection needs at least two endmembers")
     pixels = np.asarray(pixels, dtype=np.float64)
     d2_ee, d2_ep = _pairwise_d2(E, np.atleast_2d(pixels), kernel)
-    return simplex_project(d2_ee, d2_ep[0] if pixels.ndim == 1 else d2_ep, k)
+    return simplex_project(d2_ee, d2_ep[0] if pixels.ndim == 1 else d2_ep)
 
 
 class _EndmemberSet:
@@ -128,10 +131,13 @@ class _EndmemberSet:
 
     Holds the Gram matrix E E^T and, filled as the active-set iteration
     first reaches each free set, that set's KKT system.  Constructing one
-    raises DegenerateSimplex on linearly dependent endmembers.
+    raises NonFiniteValue on non-finite endmembers and DegenerateSimplex on
+    linearly dependent ones.
     """
 
     def __init__(self, E):
+        if not np.isfinite(E).all():
+            raise NonFiniteValue("endmembers contain NaN/Inf values")
         if np.linalg.matrix_rank(E) < E.shape[0]:
             raise DegenerateSimplex("endmembers are linearly dependent")
         self.k = E.shape[0]
@@ -212,18 +218,23 @@ def fcls(pixel, endmembers):
             if mu[clamped[j]] < -1e-9:
                 free |= 1 << int(clamped[j])
                 continue
-        a /= a.sum()
+        total = a.sum()
+        if not math.isfinite(total):
+            # with finite endmembers, only a non-finite pixel gets here
+            raise NonFiniteValue("pixel contains NaN/Inf values")
+        a /= total
         return a
     raise RuntimeError("fcls active-set iteration did not converge")
 
 
-def hidden_abundances(model, cube: HyperCube, hyper: HyperParams | None = None):
+def hidden_abundances(model, cube: HyperCube):
     """Encoder activations as abundances (inference-mode forward per pixel).
 
+    A checkpoint stores no HyperParams, so the default top_n is capped at K.
     All-zero activation vectors fall back to uniform 1/K; the occurrence
     count is logged.
     """
-    hyper = hyper or HyperParams(top_n=min(HyperParams.top_n, model.k))
+    hyper = HyperParams(top_n=min(HyperParams.top_n, model.k))
     trace = forward_batch(model, cube.data, hyper, mode="infer")
     y = trace.y.copy()
     dead = trace.z_star_sum <= 0.0

@@ -56,10 +56,11 @@ def _find_envi_header(path):
     raise CubeFormatError(f"no ENVI header found next to {path}")
 
 
-def _cube_from(height, width, data, path):
-    """The cube of a loaded file; its one finiteness scan names the file."""
+def _from_file(path, make, *args):
+    """``make(*args)`` for a container read from ``path``; the container's one
+    finiteness scan names the file."""
     try:
-        return HyperCube(height=height, width=width, bands=data.shape[1], data=data)
+        return make(*args)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"non-finite values in {path}") from exc
 
@@ -101,7 +102,7 @@ def load_envi(path):
     else:  # bsq
         arr = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
     data = arr.astype(np.float64, order="C").reshape(lines * samples, bands)
-    return _cube_from(lines, samples, data, path)
+    return _from_file(path, HyperCube, lines, samples, bands, data)
 
 
 def _load_csv(path, what, rows, skiprows=0):
@@ -126,7 +127,7 @@ def load_csv_cube(path):
     """Read a CSV cube: one pixel per row, optional leading '#' header line."""
     data = _load_csv(path, "CSV cube", "pixels")
     h, w = _grid_shape(data.shape[0])
-    return _cube_from(h, w, data, path)
+    return _from_file(path, HyperCube, h, w, data.shape[1], data)
 
 
 def load_cube(path):
@@ -251,7 +252,7 @@ def load_abundance_csv(path):
     """Read the 'pixel,a1..aK' CSV written by save_abundance_maps."""
     vals = _load_csv(path, "abundance CSV", "pixels", skiprows=1)[:, 1:]
     h, w = _grid_shape(vals.shape[0])
-    return AbundanceMap(h, w, vals)
+    return _from_file(path, AbundanceMap, h, w, vals)
 
 
 def save_spectra_csv(spectra: SpectraMatrix, path):
@@ -259,4 +260,4 @@ def save_spectra_csv(spectra: SpectraMatrix, path):
 
 
 def load_spectra_csv(path):
-    return SpectraMatrix(_load_csv(path, "spectra CSV", "spectra"))
+    return _from_file(path, SpectraMatrix, _load_csv(path, "spectra CSV", "spectra"))

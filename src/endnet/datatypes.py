@@ -44,9 +44,6 @@ class HyperCube:
     def n_pixels(self):
         return self.height * self.width
 
-    def pixel(self, row, col):
-        return self.data[row * self.width + col]
-
 
 @dataclass(frozen=True)
 class SpectraMatrix:

@@ -6,7 +6,7 @@ class EndnetError(Exception):
 
 
 class CubeFormatError(EndnetError):
-    """Header/payload problems while reading a cube, spectra or abundance file."""
+    """Header/payload problems while reading a cube, spectra, abundance or checkpoint file."""
 
 
 class NonFiniteValue(EndnetError):

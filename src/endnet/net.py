@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_io import _write_atomic
-from .errors import NumericalDivergence
+from .errors import CubeFormatError, NumericalDivergence
 
 CHECKPOINT_MAGIC = b"ENDN"
 CHECKPOINT_VERSION = 1
@@ -95,10 +95,6 @@ class EndNetModel:
     def d(self):
         return self.w_enc.shape[-1]
 
-    @property
-    def n_trainable(self):
-        return self.w_enc.size + self.rho.size + self.w_dec.size
-
     @classmethod
     def from_endmembers(cls, endmembers):
         """Seed both filter sets from a K x D endmember estimate; rho = 0."""
@@ -131,18 +127,27 @@ class EndNetModel:
 
     @classmethod
     def load(cls, path):
+        """The model saved in ``path``; a file that is not a sound checkpoint
+        raises CubeFormatError naming it."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
+            raise CubeFormatError(f"{path} is not a model checkpoint")
+        if len(blob) < 16:
+            raise CubeFormatError(f"checkpoint {path} ends inside its header")
         version, d, k = struct.unpack("<III", blob[4:16])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        body = np.frombuffer(blob[16:], dtype="<f8")
+            raise CubeFormatError(f"unsupported checkpoint version {version} in {path}")
         sizes = [k * d, k, k, k, d * k]
-        if body.size != sum(sizes):
-            raise ValueError("checkpoint payload size mismatch")
+        if len(blob) != 16 + 8 * sum(sizes):
+            raise CubeFormatError(f"checkpoint {path} holds {len(blob)} bytes, "
+                                  f"its header declares {16 + 8 * sum(sizes)}")
+        body = np.frombuffer(blob[16:], dtype="<f8")
+        if not np.isfinite(body).all():
+            raise CubeFormatError(f"non-finite values in checkpoint {path}")
         parts = np.split(body, np.cumsum(sizes)[:-1])
+        if (parts[3] < 0.0).any():
+            raise CubeFormatError(f"negative running variance in checkpoint {path}")
         model = cls(w_enc=parts[0].reshape(k, d), rho=parts[1],
                     w_dec=parts[4].reshape(d, k),
                     run_mean=parts[2], run_var=parts[3])
@@ -299,8 +304,6 @@ def _topn_mask(z, top_n):
     The rows of any leading axes are set through one 2-D fancy index.
     """
     k = z.shape[-1]
-    if top_n >= k:
-        return np.ones_like(z, dtype=bool)
     order = np.argsort(-z, axis=-1, kind="stable").reshape(-1, k)
     mask = np.zeros(order.shape, dtype=bool)
     mask[np.arange(len(order))[:, None], order[:, :top_n]] = True

@@ -15,6 +15,7 @@ from .net import EndNetModel, HyperParams, dropout_mask, forward_batch, loss
 
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LOG_EVERY = 1000
 
 
 @dataclass
@@ -29,7 +30,6 @@ class TrainConfig:
     corrupt_sigma: float | None = field(default=None, metadata={
         "help": "corruption noise std; %(default)s means 0.1 * cube std"})
     seed: int = field(default=0, metadata={"help": "RNG seed"})
-    log_every: int = 1000
 
     def validate(self, k=None):
         """Raise ValueError, naming the field, on a bad value; ``hyper`` is checked against k."""
@@ -47,30 +47,20 @@ class TrainConfig:
             raise ValueError("corrupt_sigma must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
         self.hyper.validate(k)
 
 
 @dataclass
 class TrainLog:
-    iterations: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    z_l1: list = field(default_factory=list)
-    recon_sad: list = field(default_factory=list)
+    """The logged iterations of a run, one (iter, loss, z_l1, recon_sad) tuple each."""
 
-    def append(self, it, loss_val, z_l1, recon_sad):
-        self.iterations.append(it)
-        self.losses.append(loss_val)
-        self.z_l1.append(z_l1)
-        self.recon_sad.append(recon_sad)
+    rows: list = field(default_factory=list)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "loss", "z_l1", "recon_sad"])
-            for row in zip(self.iterations, self.losses, self.z_l1, self.recon_sad):
-                writer.writerow(row)
+            writer.writerows(self.rows)
 
 
 def corrupt(x, mask_frac, sigma, rng):
@@ -169,7 +159,8 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     """Optimize a model on the cube's pixels; returns (model, TrainLog).
 
     Bit-deterministic given (cube, init, cfg.seed): a single seeded RNG
-    drives batch sampling, corruption and dropout in a fixed order.
+    drives batch sampling, corruption and dropout in a fixed order.  The
+    log holds iteration 1, every ``LOG_EVERY``-th iteration and the last.
     """
     cfg.validate(init.k)
     pixels = cube.data
@@ -198,9 +189,9 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
         except NumericalDivergence as exc:
             raise NumericalDivergence(f"iteration {it}: {exc}") from exc
 
-        if it == 1 or it % cfg.log_every == 0 or it == cfg.iters:
+        if it == 1 or it % LOG_EVERY == 0 or it == cfg.iters:
             mean_z = float(trace.z.sum(axis=1).mean())
             mean_sad = float(np.mean(np.pi * (1.0 - trace.c_recon)))
-            log.append(it, float(loss_val), mean_z, mean_sad)
+            log.rows.append((it, float(loss_val), mean_z, mean_sad))
 
     return model, log

@@ -8,7 +8,7 @@ from endnet import (EndNetModel, HyperCube, HyperParams, SpectraMatrix,
                     estimate_abundances, fcls, forward_batch, hidden_abundances,
                     spu_abundances, spu_sad)
 from endnet.abundance import _pairwise_d2, simplex_project
-from endnet.errors import DegenerateSimplex
+from endnet.errors import DegenerateSimplex, NonFiniteValue
 
 
 def _random_endmembers(k, d, seed):
@@ -28,7 +28,7 @@ def test_simplex_project_interior_point():
     E = _random_endmembers(3, 12, 0)
     a_true = np.array([0.2, 0.3, 0.5])
     d2_ee, d2_ep = _l2_dists(E, a_true @ E)
-    np.testing.assert_allclose(simplex_project(d2_ee, d2_ep, 3), a_true,
+    np.testing.assert_allclose(simplex_project(d2_ee, d2_ep), a_true,
                                atol=1e-9)
 
 
@@ -39,7 +39,7 @@ def test_simplex_project_output_valid():
         E = rng.normal(size=(k, 8))
         x = 3.0 * rng.normal(size=8)  # usually outside the simplex
         d2_ee, d2_ep = _l2_dists(E, x)
-        p = simplex_project(d2_ee, d2_ep, k)
+        p = simplex_project(d2_ee, d2_ep)
         assert p.min() >= -1e-10
         assert abs(p.sum() - 1.0) < 1e-9
 
@@ -94,6 +94,40 @@ def test_spu_unknown_kernel():
     E = _random_endmembers(3, 10, 5)
     with pytest.raises(ValueError):
         spu_sad(E[0], E, kernel="rbf")
+
+
+# --- non-finite input -------------------------------------------------------
+
+def _with_nan(a, index):
+    a = np.array(a, dtype=np.float64)
+    a[index] = np.nan
+    return a
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("unmix", [
+    pytest.param(spu_sad, id="spu-sad"),
+    pytest.param(lambda x, E: spu_sad(x, E, kernel="l2"), id="spu-l2"),
+    pytest.param(fcls, id="fcls")])
+@pytest.mark.parametrize("where, match", [("endmember", "^endmembers "), ("pixel", "^pixels? ")])
+def test_unmixing_blames_non_finite_input(unmix, where, match):
+    E = _random_endmembers(4, 20, 12)
+    x = np.array([0.1, 0.2, 0.3, 0.4]) @ E
+    if where == "endmember":
+        E = _with_nan(E, (1, 3))
+    else:
+        x = _with_nan(x, 5)
+    for _ in range(2):  # a rejected endmember matrix is not remembered
+        with pytest.raises(NonFiniteValue, match=match):
+            unmix(x, E)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spu_blames_one_non_finite_pixel_in_a_block():
+    E = _random_endmembers(4, 20, 13)
+    X = np.random.default_rng(13).dirichlet(np.ones(4), 50) @ E
+    with pytest.raises(NonFiniteValue, match="^pixels "):
+        spu_sad(_with_nan(X, (37, 2)), E)
 
 
 # --- fcls -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command-line flows and exit codes."""
 
+import struct
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -220,6 +221,7 @@ def test_gradcheck_without_trials_is_a_config_error(capsys, flags, message):
     pytest.param(["--seed", "-1"], "seed", id="seed-negative"),
     pytest.param(["--alpha", "nan"], "dirichlet_alpha", id="alpha-nan"),
     pytest.param(["--alpha", "inf"], "dirichlet_alpha", id="alpha-inf"),
+    pytest.param(["--pure-frac", "1.5"], "pure_pixel_fraction", id="pure-frac-1.5"),
 ])
 def test_synth_without_pixels_is_a_config_error(tmp_path, capsys, flags, field):
     rc = main(["synth", *flags, "--out-dir", str(tmp_path / "s")])
@@ -286,6 +288,14 @@ def test_exit_code_k_too_large(scene_dir, tmp_path, capsys):
     rc = main(["eval", "--gt-spectra", str(scene_dir / "endmembers.csv"),
                "--repeats", "2", "--out-prefix", str(tmp_path / "x")])
     assert rc == 2  # --repeats without --input
+
+
+def test_eval_without_an_estimate_is_a_config_error(scene_dir, tmp_path, capsys):
+    rc = main(["eval", "--gt-spectra", str(scene_dir / "endmembers.csv"),
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: need --est-spectra (or --input with --repeats)"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -372,7 +382,12 @@ def test_exit_code_empty_csv_cube(tmp_path, capsys, text):
     pytest.param("--est-abund", "pixel,a1\n", "abundance CSV {} holds no pixels",
                  id="est-abund-header-only"),
     pytest.param("--gt-abund", "pixel,a1\n", "abundance CSV {} holds no pixels",
-                 id="gt-abund-header-only")])
+                 id="gt-abund-header-only"),
+    pytest.param("--est-spectra", "0.1,nan,0.3\n", "non-finite values in {}", id="spectra-nan"),
+    pytest.param("--est-abund", "pixel,a1,a2,a3\n1,nan,0.5,0.5\n", "non-finite values in {}",
+                 id="est-abund-nan"),
+    pytest.param("--gt-abund", "pixel,a1,a2,a3\n1,0.5,inf,0.5\n", "non-finite values in {}",
+                 id="gt-abund-inf")])
 def test_eval_unreadable_csv_is_an_io_error(scene_dir, tmp_path, capsys, flag, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -415,3 +430,43 @@ def test_extract_zero_pixel_is_a_config_error_for_every_seed(tmp_path, capsys, s
                "--out-prefix", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == ["error: a zero-norm spectrum has no angle"]
+
+
+_CK_K, _CK_D = 3, 20
+_CK_SIZE = 16 + 8 * (2 * _CK_K * _CK_D + 3 * _CK_K)
+_CK_RUN_VAR = 16 + 8 * (_CK_K * _CK_D + 2 * _CK_K)  # byte offset of run_var[0]
+
+
+def _with_value(offset, value):
+    return lambda blob: blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["spu", "hidden"])
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda b: b"NOPE" + b[4:], "{} is not a model checkpoint", id="magic"),
+    pytest.param(lambda b: b[:4], "checkpoint {} ends inside its header", id="magic-only"),
+    pytest.param(lambda b: b[:15], "checkpoint {} ends inside its header", id="short-header"),
+    pytest.param(lambda b: b[:4] + struct.pack("<I", 2) + b[8:],
+                 "unsupported checkpoint version 2 in {}", id="version"),
+    pytest.param(lambda b: b[:100],
+                 f"checkpoint {{}} holds 100 bytes, its header declares {_CK_SIZE}", id="truncated"),
+    pytest.param(lambda b: b + bytes(8),
+                 f"checkpoint {{}} holds {_CK_SIZE + 8} bytes, its header declares {_CK_SIZE}",
+                 id="trailing-bytes"),
+    pytest.param(_with_value(16, np.nan), "non-finite values in checkpoint {}", id="nan-w_enc"),
+    pytest.param(_with_value(_CK_RUN_VAR, -1.0), "negative running variance in checkpoint {}",
+                 id="negative-run_var")])
+def test_abundances_rejects_an_unsound_checkpoint(tmp_path, capsys, method, damage, message):
+    rng = np.random.default_rng(0)
+    good = tmp_path / "good.endn"
+    EndNetModel.from_endmembers(rng.uniform(0.1, 1.0, (_CK_K, _CK_D))).save(good)
+    assert len(good.read_bytes()) == _CK_SIZE
+    path = tmp_path / "bad.endn"
+    path.write_bytes(damage(good.read_bytes()))
+    np.savetxt(tmp_path / "cube.csv", rng.uniform(0.1, 1.0, (30, _CK_D)), delimiter=",")
+    rc = main(["abundances", "--input", str(tmp_path / "cube.csv"), "--checkpoint", str(path),
+               "--method", method, "--out-dir", str(tmp_path / "maps")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path)]
+    assert not (tmp_path / "maps").exists()

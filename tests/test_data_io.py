@@ -22,8 +22,8 @@ def test_csv_cube_layout(tmp_path):
     path.write_text("# bands=3\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
     cube = load_cube(path)
     assert (cube.height, cube.width, cube.bands) == (2, 2, 3)
-    np.testing.assert_array_equal(cube.pixel(0, 0), [1, 2, 3])
-    np.testing.assert_array_equal(cube.pixel(1, 1), [10, 11, 12])
+    np.testing.assert_array_equal(cube.data[0 * cube.width + 0], [1, 2, 3])
+    np.testing.assert_array_equal(cube.data[1 * cube.width + 1], [10, 11, 12])
 
 
 def test_csv_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from endnet import EndNetModel, HyperParams, forward, forward_batch, gradcheck, loss, net
-from endnet.errors import NumericalDivergence
+from endnet.errors import CubeFormatError, NumericalDivergence
 from endnet.gradcheck import (FD_STEP, check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
 from endnet.net import (THETA_CLIP, angle, angle_backward, batchnorm_backward,
@@ -652,7 +652,7 @@ def test_rel_error_floor():
 
 def test_no_bias_parameter_count():
     model = EndNetModel.from_endmembers(np.ones((3, 10)))
-    assert model.n_trainable == 3 * 10 + 3 + 10 * 3
+    assert sum(p.size for p in model.params().values()) == 3 * 10 + 3 + 10 * 3
     assert set(model.params()) == {"w_enc", "rho", "w_dec"}
 
 
@@ -679,7 +679,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_bad_files(tmp_path):
     path = tmp_path / "bad.endn"
     path.write_bytes(b"NOPE" + b"\0" * 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(CubeFormatError):
         EndNetModel.load(path)
     rng = np.random.default_rng(16)
     model = _toy_model(rng)
@@ -687,7 +687,7 @@ def test_checkpoint_bad_files(tmp_path):
     model.save(good)
     truncated = tmp_path / "trunc.endn"
     truncated.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(CubeFormatError):
         EndNetModel.load(truncated)
 
 
