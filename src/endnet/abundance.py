@@ -11,6 +11,7 @@ import logging
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix
 from .errors import DegenerateSimplex, NonFiniteValue
@@ -39,7 +40,10 @@ def _pairwise_d2(spectra, pixels, kernel):
             raise DegenerateSimplex("angularly coincident endmembers")
         d2_ee = 2.0 - 2.0 * ee.similarity
         np.fill_diagonal(d2_ee, 0.0)
-        d2_ep = 2.0 - 2.0 * angle(pixels, spectra, THETA_CLIP).similarity
+        # an Inf pixel's cosine is inf/inf; the NaN it gives is blamed on
+        # the pixel by _bary_solve, without an N x D scan here
+        with np.errstate(invalid="ignore"):
+            d2_ep = 2.0 - 2.0 * angle(pixels, spectra, THETA_CLIP).similarity
     elif kernel == "l2":
         diff = spectra[:, None, :] - spectra[None, :, :]
         d2_ee = np.einsum("ijk,ijk->ij", diff, diff)
@@ -203,7 +207,11 @@ def fcls(pixel, endmembers):
     free = (1 << k) - 1  # bit j set: variable j is free
     for _ in range(4 * k + 8):
         idx, rhs_rows, kkt, clamped = es.system(free)
-        sol = np.linalg.solve(kkt, b[rhs_rows])
+        # the LAPACK gufunc np.linalg.solve calls for a 1-D right-hand side,
+        # so the bits are its bits without its per-call wrapper; no singular
+        # check: the endmembers passed the rank check, so G_ff is positive
+        # definite and [[2 G_ff, 1], [1, 0]] is nonsingular
+        sol = _solve1(kkt, b[rhs_rows], signature="dd->d")
         a_free, lam = sol[:-1], sol[-1]
         j = int(a_free.argmin())
         if a_free[j] < -1e-12:

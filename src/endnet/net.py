@@ -148,8 +148,12 @@ class EndNetModel:
         parts = np.split(body, np.cumsum(sizes)[:-1])
         if (parts[3] < 0.0).any():
             raise CubeFormatError(f"negative running variance in checkpoint {path}")
-        model = cls(w_enc=parts[0].reshape(k, d), rho=parts[1],
-                    w_dec=parts[4].reshape(d, k),
+        w_enc, w_dec = parts[0].reshape(k, d), parts[4].reshape(d, k)
+        # the squared row norms that angle takes of the filters and endmembers
+        for rows in (w_enc, w_dec.T):
+            if not np.isfinite(np.einsum("...ij,...ij->...i", rows, rows)).all():
+                raise CubeFormatError(f"squared norms overflow in checkpoint {path}")
+        model = cls(w_enc=w_enc, rho=parts[1], w_dec=w_dec,
                     run_mean=parts[2], run_var=parts[3])
         model._stats_initialized = True
         return model

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from endnet import (EndNetModel, HyperCube, HyperParams, SpectraMatrix,
+from endnet import (EndNetModel, HyperCube, HyperParams, SpectraMatrix, SynthSpec,
                     estimate_abundances, fcls, forward_batch, hidden_abundances,
                     spu_abundances, spu_sad)
-from endnet.abundance import _pairwise_d2, simplex_project
+from endnet.abundance import _pairwise_d2, _solve1, simplex_project
+from endnet.data_io import normalize_cube, synth_scene
 from endnet.errors import DegenerateSimplex, NonFiniteValue
 
 
@@ -84,6 +85,14 @@ def test_spu_coincident_endmembers():
         spu_sad(E[0], E, kernel="sad")
 
 
+def test_spu_l2_equal_endmembers_are_ill_conditioned():
+    # the l2 kernel has no coincidence check of its own: the facet system is singular
+    E = _random_endmembers(3, 10, 7)
+    E[2] = E[0]
+    with pytest.raises(DegenerateSimplex, match="^ill-conditioned simplex system$"):
+        spu_sad(E.mean(axis=0), E, kernel="l2")
+
+
 def test_spu_needs_two_endmembers():
     E = _random_endmembers(1, 10, 4)
     with pytest.raises(ValueError):
@@ -128,6 +137,17 @@ def test_spu_blames_one_non_finite_pixel_in_a_block():
     X = np.random.default_rng(13).dirichlet(np.ones(4), 50) @ E
     with pytest.raises(NonFiniteValue, match="^pixels "):
         spu_sad(_with_nan(X, (37, 2)), E)
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["pixel", "block"])
+def test_spu_blames_an_inf_pixel_without_a_warning(block):
+    # the inf/inf cosine is NaN; under the suite's error::RuntimeWarning
+    # filter a warning from angle would surface in place of the blame
+    E = _random_endmembers(4, 20, 14)
+    X = np.random.default_rng(14).dirichlet(np.ones(4), 20) @ E
+    X[11, 3] = np.inf
+    with pytest.raises(NonFiniteValue, match="^pixels "):
+        spu_sad(X if block else X[11], E)
 
 
 # --- fcls -------------------------------------------------------------------
@@ -257,6 +277,29 @@ def test_fcls_bit_identical_to_per_pixel_reference_on_random_cases():
     for x, E in _random_noisy_cases():
         assert np.array_equal(fcls(x, E), _fcls_per_pixel_reference(x, E, refreed))
     assert len(refreed) == 9
+
+
+def test_fcls_solve_kernel_is_np_linalg_solve():
+    # fcls calls the private LAPACK gufunc behind np.linalg.solve; a NumPy
+    # release that moves or changes it fails here, not in silently moved bits
+    rng = np.random.default_rng(21)
+    for n in range(2000):
+        m = 2 + n % 7  # KKT systems of sizes 3 to 9
+        E = rng.uniform(0.05, 1.0, (m, 3 * m))
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = 2.0 * (E @ E.T)
+        kkt[m, m] = 0.0
+        rhs = np.append(2.0 * rng.uniform(0.0, 5.0, m), 1.0)
+        want = np.linalg.solve(kkt, rhs)
+        assert np.array_equal(_solve1(kkt, rhs, signature="dd->d"), want)
+
+
+def test_fcls_bit_identical_to_per_pixel_reference_on_162_bands():
+    cube, endm, _ = synth_scene(SynthSpec(k=4, bands=162, n_pixels=2000, snr_db=40.0,
+                                          pure_pixel_fraction=0.05, dirichlet_alpha=0.2,
+                                          seed=6))
+    for x in normalize_cube(cube).data:
+        assert np.array_equal(fcls(x, endm.rows), _fcls_per_pixel_reference(x, endm.rows))
 
 
 def test_fcls_sees_endmembers_changed_in_place():

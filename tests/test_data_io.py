@@ -320,6 +320,11 @@ def test_abundance_map_invariants():
         AbundanceMap(1, 1, [[np.nan, 1.0]])
 
 
+def test_spectra_matrix_must_be_2d():
+    with pytest.raises(ValueError, match="^spectra matrix must be 2-D with at least one row$"):
+        SpectraMatrix(np.ones(5))
+
+
 def test_hypercube_immutable():
     cube = HyperCube(1, 2, 2, np.ones((2, 2)))
     with pytest.raises(ValueError):

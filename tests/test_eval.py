@@ -136,6 +136,15 @@ def test_evaluate_rejects_abundance_maps_of_other_pixel_counts():
         evaluate(truth, truth, est_ab, gt_ab)
 
 
+def test_evaluate_rejects_an_abundance_map_of_other_estimate_count():
+    truth = _spectra(7, 3)
+    gt_ab = AbundanceMap(2, 5, np.full((10, 3), 1.0 / 3))
+    est_ab = AbundanceMap(2, 5, np.full((10, 2), 0.5))
+    with pytest.raises(ValueError, match="^the estimated abundance map has 2 columns "
+                                         "for 3 estimates$"):
+        evaluate(truth, truth, est_ab, gt_ab)
+
+
 def test_evaluate_band_mismatch():
     with pytest.raises(ValueError):
         evaluate(_spectra(13, 3, d=10), _spectra(14, 3, d=12))

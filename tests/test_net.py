@@ -336,6 +336,12 @@ def test_forward_rejects_zero_sample_and_train_single():
         forward_batch(model, np.ones((1, 12)), HyperParams(), mode="train")
 
 
+def test_forward_batch_rejects_another_band_count():
+    model = _toy_model(np.random.default_rng(10))
+    with pytest.raises(ValueError, match="^band count mismatch between batch and model$"):
+        forward_batch(model, np.ones((4, 11)), HyperParams(), mode="infer")
+
+
 def test_dropout_mask_scales_and_draws_nothing_at_p_one():
     rng = np.random.default_rng(11)
     for p in (0.5, 0.8):
