@@ -72,7 +72,9 @@ def _bary_solve(d2_ee, d2_ep, active):
     others = active[:-1]
     dr = d2_ee[others, ref]
     G = 0.5 * (dr[:, None] + dr[None, :] - d2_ee[np.ix_(others, others)])
-    B = 0.5 * (dr + d2_ep[:, [ref]] - d2_ep[:, others])
+    # an Inf pixel's l2 distances give inf - inf; its NaN is blamed below
+    with np.errstate(invalid="ignore"):
+        B = 0.5 * (dr + d2_ep[:, [ref]] - d2_ep[:, others])
     if np.linalg.cond(G) > 1e12:
         raise DegenerateSimplex("ill-conditioned simplex system")
     # G broadcast over one right-hand side per pixel: each pixel gets the

@@ -60,7 +60,6 @@ def cmd_extract(args):
     cfg = _train_config(args)
     model, log = _extract_once(args, cfg, _load_input(args))
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     model.save(f"{prefix}.endn")
     log.write_csv(f"{prefix}_trainlog.csv")
     data_io.save_spectra_csv(SpectraMatrix(model.endmembers()), f"{prefix}_endmembers.csv")
@@ -83,7 +82,6 @@ def cmd_synth(args):
                      dirichlet_alpha=args.alpha, seed=args.seed)
     cube, endm, amap = data_io.synth_scene(spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data_io.save_cube_csv(cube, out / "cube.csv")
     data_io.save_spectra_csv(endm, out / "endmembers.csv")
     data_io.save_abundance_maps(amap, out)
@@ -130,9 +128,8 @@ def _eval_repeats(args):
         else:
             row += ",,"
         lines.append(row)
-    out = Path(f"{args.out_prefix}_repeats.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out = f"{args.out_prefix}_repeats.csv"
+    data_io.write_file(out, "\n".join(lines) + "\n")
     print(f"mean SAD over {args.repeats} runs: {sads.mean():.6f} "
           f"(x1e-2: {sads.mean() * 100:.2f})")
     print(f"wrote {out}")

@@ -140,8 +140,7 @@ def load_cube(path):
 
 
 def save_cube_csv(cube, path):
-    np.savetxt(path, cube.data, delimiter=",", fmt="%.17g",
-               header=f"bands={cube.bands}", comments="# ")
+    write_file(path, f"# bands={cube.bands}\n" + _csv_text(cube.data.tolist(), "%.17g"))
 
 
 def normalize_cube(cube):
@@ -215,11 +214,20 @@ def synth_scene(spec: SynthSpec):
     return cube, SpectraMatrix(endm), AbundanceMap(h, w, abund)
 
 
-def _write_atomic(path, payload: bytes):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+def write_file(path, payload):
+    """Write ``payload`` (bytes, or ASCII text) to ``path`` whole or not at all: make the
+    parent directory, write ``<path>.tmp`` and rename it over ``path``."""
+    if isinstance(payload, str):
+        payload = payload.encode("ascii")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(f"{path}.tmp", "wb") as fh:
         fh.write(payload)
-    os.replace(tmp, path)
+    os.replace(f"{path}.tmp", path)
+
+
+def _csv_text(rows, fmt="%s"):
+    """Comma-separated ``rows``, each field formatted by ``fmt``, one LF-ended line per row."""
+    return "".join(",".join([fmt] * len(row)) % tuple(row) + "\n" for row in rows)
 
 
 def save_pgm(values, height, width, path):
@@ -227,13 +235,12 @@ def save_pgm(values, height, width, path):
     scaled = np.floor(np.asarray(values, dtype=np.float64) * 255.0 + 0.5)
     bytes_ = np.clip(scaled, 0, 255).astype(np.uint8).reshape(height, width)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    _write_atomic(path, header + bytes_.tobytes())
+    write_file(path, header + bytes_.tobytes())
 
 
 def save_abundance_maps(amap: AbundanceMap, out_dir):
     """Write one PGM per endmember plus a raw-fraction CSV; returns the paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for k in range(amap.k):
         p = out / f"abundance_{k + 1}.pgm"
@@ -243,7 +250,7 @@ def save_abundance_maps(amap: AbundanceMap, out_dir):
     header = "pixel," + ",".join(f"a{i + 1}" for i in range(amap.k))
     row = "%d," + ",".join(["%.17g"] * amap.k)
     body = "\n".join(row % r for r in zip(range(amap.n_pixels), *amap.values.T.tolist()))
-    _write_atomic(csv_path, f"{header}\n{body}\n".encode("ascii"))
+    write_file(csv_path, f"{header}\n{body}\n")
     paths.append(csv_path)
     return paths
 
@@ -256,8 +263,12 @@ def load_abundance_csv(path):
 
 
 def save_spectra_csv(spectra: SpectraMatrix, path):
-    np.savetxt(path, spectra.rows, delimiter=",", fmt="%.17g")
+    write_file(path, _csv_text(spectra.rows.tolist(), "%.17g"))
 
 
 def load_spectra_csv(path):
-    return _from_file(path, SpectraMatrix, _load_csv(path, "spectra CSV", "spectra"))
+    spectra = _from_file(path, SpectraMatrix, _load_csv(path, "spectra CSV", "spectra"))
+    # the squared row norms that angle takes
+    if not np.isfinite(np.einsum("ij,ij->i", spectra.rows, spectra.rows)).all():
+        raise CubeFormatError(f"squared norms overflow in spectra CSV {path}")
+    return spectra

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .data_io import _csv_text, write_file
 from .datatypes import AbundanceMap, SpectraMatrix
 from .net import angle
 
@@ -63,16 +63,15 @@ class EvalReport:
     unmatched_estimates: list = field(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["estimated", "truth", "sad", "rmse"])
-            for (i, j), sad, rmse in zip(
-                    sorted(self.assignment.items(), key=lambda kv: kv[1]),
-                    self.per_endmember_sad,
-                    self.per_endmember_rmse or [""] * len(self.per_endmember_sad)):
-                writer.writerow([i, j, f"{sad:.10g}", rmse if rmse == "" else f"{rmse:.10g}"])
-            writer.writerow(["avg", "", f"{self.avg_sad:.10g}",
-                             "" if self.avg_rmse is None else f"{self.avg_rmse:.10g}"])
+        rows = [("estimated", "truth", "sad", "rmse")]
+        for (i, j), sad, rmse in zip(
+                sorted(self.assignment.items(), key=lambda kv: kv[1]),
+                self.per_endmember_sad,
+                self.per_endmember_rmse or [""] * len(self.per_endmember_sad)):
+            rows.append((i, j, f"{sad:.10g}", rmse if rmse == "" else f"{rmse:.10g}"))
+        rows.append(("avg", "", f"{self.avg_sad:.10g}",
+                     "" if self.avg_rmse is None else f"{self.avg_rmse:.10g}"))
+        write_file(path, _csv_text(rows))
 
     def to_text(self):
         """Human-readable table; values reported x 10^-2."""

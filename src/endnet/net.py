@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_io import _write_atomic
+from .data_io import write_file
 from .errors import CubeFormatError, NumericalDivergence
 
 CHECKPOINT_MAGIC = b"ENDN"
@@ -123,7 +123,7 @@ class EndNetModel:
         payload = b"".join(
             np.ascontiguousarray(a, dtype="<f8").tobytes()
             for a in (self.w_enc, self.rho, self.run_mean, self.run_var, self.w_dec))
-        _write_atomic(path, header + payload)
+        write_file(path, header + payload)
 
     @classmethod
     def load(cls, path):

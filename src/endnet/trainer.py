@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import _csv_text, write_file
 from .datatypes import HyperCube
 from .errors import NumericalDivergence
 from .initializers import InitResult
@@ -57,10 +57,7 @@ class TrainLog:
     rows: list = field(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "loss", "z_l1", "recon_sad"])
-            writer.writerows(self.rows)
+        write_file(path, _csv_text([("iter", "loss", "z_l1", "recon_sad"), *self.rows]))
 
 
 def corrupt(x, mask_frac, sigma, rng):

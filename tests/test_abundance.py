@@ -139,15 +139,17 @@ def test_spu_blames_one_non_finite_pixel_in_a_block():
         spu_sad(_with_nan(X, (37, 2)), E)
 
 
+@pytest.mark.parametrize("kernel", ["sad", "l2"])
 @pytest.mark.parametrize("block", [False, True], ids=["pixel", "block"])
-def test_spu_blames_an_inf_pixel_without_a_warning(block):
-    # the inf/inf cosine is NaN; under the suite's error::RuntimeWarning
-    # filter a warning from angle would surface in place of the blame
+def test_spu_blames_an_inf_pixel_without_a_warning(block, kernel):
+    # the inf/inf cosine (sad) and the inf - inf distance difference (l2)
+    # are NaN; under the suite's error::RuntimeWarning filter a warning
+    # would surface in place of the blame
     E = _random_endmembers(4, 20, 14)
     X = np.random.default_rng(14).dirichlet(np.ones(4), 20) @ E
     X[11, 3] = np.inf
     with pytest.raises(NonFiniteValue, match="^pixels "):
-        spu_sad(X if block else X[11], E)
+        spu_sad(X if block else X[11], E, kernel=kernel)
 
 
 # --- fcls -------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """End-to-end command-line flows and exit codes."""
 
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import endnet
 from endnet import (AbundanceMap, EndNetModel, HyperParams, SynthSpec, TrainConfig, cli,
                     data_io)
 from endnet.cli import _train_config, build_parser, main
@@ -128,6 +133,14 @@ def test_exit_code_negative_cube(tmp_path, capsys):
         "error: cannot normalize a cube whose maximum -0.5 is not positive"]
 
 
+def test_eval_writes_its_report_into_a_new_directory(scene_dir, tmp_path):
+    truth = str(scene_dir / "endmembers.csv")
+    rc = main(["eval", "--est-spectra", truth, "--gt-spectra", truth,
+               "--out-prefix", str(tmp_path / "new" / "score")])
+    assert rc == 0
+    assert (tmp_path / "new" / "score_report.csv").read_text().startswith("estimated,")
+
+
 def test_eval_repeats(scene_dir, tmp_path, capsys):
     rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
                "--gt-spectra", str(scene_dir / "endmembers.csv"),
@@ -190,6 +203,16 @@ def test_gradcheck_ok(capsys):
     rc = main(["gradcheck", "--trials", "3", "--seed", "0"])
     assert rc == 0
     assert "[ok]" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_main():
+    src = str(Path(endnet.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "endnet.cli", "gradcheck", "--trials", "1"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == [
+        "sad", "batchnorm", "l1norm", "full_loss"]
 
 
 _TRIALS = "error: trials must be >= 1"
@@ -384,6 +407,8 @@ def test_exit_code_empty_csv_cube(tmp_path, capsys, text):
     pytest.param("--gt-abund", "pixel,a1\n", "abundance CSV {} holds no pixels",
                  id="gt-abund-header-only"),
     pytest.param("--est-spectra", "0.1,nan,0.3\n", "non-finite values in {}", id="spectra-nan"),
+    pytest.param("--gt-spectra", "1e154,1e154\n", "squared norms overflow in spectra CSV {}",
+                 id="spectra-norm-overflow"),
     pytest.param("--est-abund", "pixel,a1,a2,a3\n1,nan,0.5,0.5\n", "non-finite values in {}",
                  id="est-abund-nan"),
     pytest.param("--gt-abund", "pixel,a1,a2,a3\n1,0.5,inf,0.5\n", "non-finite values in {}",

@@ -1,14 +1,22 @@
 """File formats, normalization, and the synthetic scene generator."""
 
+import ast
+import io
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from endnet import AbundanceMap, HyperCube, SpectraMatrix, SynthSpec
+import endnet
+from endnet import AbundanceMap, EndNetModel, HyperCube, SpectraMatrix, SynthSpec
 from endnet.data_io import (_grid_shape, load_abundance_csv, load_cube,
                             load_csv_cube, load_envi, load_spectra_csv,
                             normalize_cube, save_abundance_maps, save_cube_csv,
                             save_pgm, save_spectra_csv, synth_scene)
 from endnet.errors import CubeFormatError, DegenerateCube, NonFiniteValue
+from endnet.evaluation import evaluate
+from endnet.trainer import TrainLog
 
 
 def test_grid_shape_squarest():
@@ -309,6 +317,83 @@ def test_spectra_csv_roundtrip(tmp_path):
     save_spectra_csv(spectra, path)
     back = load_spectra_csv(path)
     np.testing.assert_array_equal(back.rows, spectra.rows)
+
+
+def test_float_csv_bytes_match_savetxt(tmp_path):
+    # the bytes np.savetxt wrote before both writers went through write_file
+    rng = np.random.default_rng(10)
+    values = np.vstack([rng.random((3, 4)), [0.0, 1.0, 1 / 3, 1e-300]])
+    ref = io.StringIO()
+    np.savetxt(ref, values, delimiter=",", fmt="%.17g", header="bands=4", comments="# ")
+    save_cube_csv(HyperCube(2, 2, 4, values), tmp_path / "cube.csv")
+    assert (tmp_path / "cube.csv").read_text() == ref.getvalue()
+    ref = io.StringIO()
+    np.savetxt(ref, values, delimiter=",", fmt="%.17g")
+    save_spectra_csv(SpectraMatrix(values), tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_text() == ref.getvalue()
+
+
+_WRITERS = {
+    "EndNetModel.save": lambda d: EndNetModel.from_endmembers(np.eye(2, 3) + 0.1).save(
+        d / "m.endn"),
+    "save_pgm": lambda d: save_pgm(np.array([0.0, 0.5]), 1, 2, d / "abundance_1.pgm"),
+    "save_abundance_maps": lambda d: save_abundance_maps(AbundanceMap(1, 2, np.eye(2)), d),
+    "save_cube_csv": lambda d: save_cube_csv(HyperCube(1, 2, 2, np.eye(2)), d / "cube.csv"),
+    "save_spectra_csv": lambda d: save_spectra_csv(SpectraMatrix(np.eye(2)), d / "e.csv"),
+    "TrainLog.write_csv": lambda d: TrainLog([(1, 0.5, 1.0, 0.25)]).write_csv(d / "log.csv"),
+    "EvalReport.write_csv": lambda d: evaluate(
+        SpectraMatrix(np.eye(2) + 0.1), SpectraMatrix(np.eye(2) + 0.2)).write_csv(d / "report.csv"),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_a_failed_write_leaves_the_old_file(tmp_path, monkeypatch, writer):
+    _WRITERS[writer](tmp_path)
+    old = {p: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        _WRITERS[writer](tmp_path)
+    assert all(p.read_bytes() == blob for p, blob in old.items())
+
+
+def _file_write(node):
+    """What ``node`` does to the file system, or None when it writes nothing."""
+    if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+        return "import csv"
+    if isinstance(node, ast.ImportFrom) and node.module == "csv":
+        return "import csv"
+    if not isinstance(node, ast.Call):
+        return None
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    if name in ("savetxt", "write_text", "write_bytes", "mkdir", "makedirs", "tofile"):
+        return name
+    if name == "open":
+        # builtin open(path, mode) or Path.open(mode)
+        modes = [k.value for k in node.keywords if k.arg == "mode"]
+        modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+        for mode in modes:
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                return "open with a computed mode"
+            if set(mode.value) & set("wax+"):
+                return f"open(..., {mode.value!r})"
+    return None
+
+
+def test_only_write_file_writes_files():
+    found = []
+    for path in sorted(Path(endnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in tree.body:
+            if path.name == "data_io.py" and getattr(node, "name", None) == "write_file":
+                allowed = {id(n) for n in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno} {what}" for node in ast.walk(tree)
+                  if id(node) not in allowed and (what := _file_write(node))]
+    assert found == []
 
 
 def test_abundance_map_invariants():

@@ -166,6 +166,7 @@ def test_report_write_csv(tmp_path):
     report = evaluate(SpectraMatrix(truth.rows[[2, 0, 1]]), truth)
     path = tmp_path / "report.csv"
     report.write_csv(path)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "estimated,truth,sad,rmse"
     assert len(lines) == 5  # 3 endmembers + header + avg row

@@ -233,6 +233,7 @@ def test_train_log_csv(small_scene, small_init, tmp_path, monkeypatch):
     _, log = train(cube, small_init, TrainConfig(iters=120, seed=3))
     path = tmp_path / "log.csv"
     log.write_csv(path)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,loss,z_l1,recon_sad"
     assert len(lines) == len(log.rows) + 1
