@@ -240,12 +240,11 @@ def fcls(pixel, endmembers):
 def hidden_abundances(model, cube: HyperCube):
     """Encoder activations as abundances (inference-mode forward per pixel).
 
-    A checkpoint stores no HyperParams, so the default top_n is capped at K.
-    All-zero activation vectors fall back to uniform 1/K; the occurrence
-    count is logged.
+    A checkpoint stores no HyperParams, so the defaults apply.  All-zero
+    activation vectors fall back to uniform 1/K; the occurrence count is
+    logged.
     """
-    hyper = HyperParams(top_n=min(HyperParams.top_n, model.k))
-    trace = forward_batch(model, cube.data, hyper, mode="infer")
+    trace = forward_batch(model, cube.data, HyperParams(), mode="infer")
     y = trace.y.copy()
     dead = trace.z_star_sum <= 0.0
     n_dead = int(dead.sum())

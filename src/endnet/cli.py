@@ -37,12 +37,12 @@ def _add_hyper_flags(p):
 
 
 def _train_config(args):
-    """The validated TrainConfig of the flags: a bad flag fails before any file is read."""
+    """The TrainConfig of the flags, checked against --k before any file is read."""
     def flags(cls):
         return {f.name: getattr(args, f.name) for f in _flag_fields(cls)}
 
     cfg = TrainConfig(hyper=HyperParams(**flags(HyperParams)), **flags(TrainConfig))
-    cfg.validate(args.k)
+    cfg.hyper.check_k(args.k)
     return cfg
 
 
@@ -109,8 +109,7 @@ def _eval_repeats(args):
     evaluation.check_ground_truth(args.k, cube.bands, gt, gt_ab, cube.n_pixels)
     sads, rmses = [], []
     for r in range(args.repeats):
-        cfg.seed = args.seed + r
-        model, _ = _extract_once(args, cfg, cube)
+        model, _ = _extract_once(args, dataclasses.replace(cfg, seed=args.seed + r), cube)
         est = SpectraMatrix(model.endmembers())
         est_ab = abundance.estimate_abundances(model, cube, method=args.method) \
             if gt_ab is not None else None

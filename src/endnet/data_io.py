@@ -26,7 +26,8 @@ def _grid_shape(n_pixels):
 
 
 def _parse_envi_header(hdr_path):
-    text = Path(hdr_path).read_text()
+    # Latin-1 decodes every byte, and the keys read here are ASCII
+    text = Path(hdr_path).read_text(encoding="latin-1")
     fields = {}
     ignored = []
     for line in text.splitlines():
@@ -86,14 +87,17 @@ def load_envi(path):
         raise CubeFormatError(f"byte order must be 0 or 1, got {byte_order}")
     if min(samples, lines, bands) <= 0:
         raise CubeFormatError("samples/lines/bands must all be positive")
-    if not 0 <= offset <= os.path.getsize(path):
+    size = os.path.getsize(path)
+    if not 0 <= offset <= size:
         raise CubeFormatError(f"header offset {offset} lies outside the data file {path}")
 
     dtype = _ENVI_DTYPES[dtype_code].newbyteorder("<" if byte_order == 0 else ">")
-    raw = np.fromfile(path, dtype=dtype, offset=offset)
     expected = samples * lines * bands
-    if raw.size != expected:
-        raise CubeFormatError(f"payload holds {raw.size} values, header declares {expected}")
+    # a payload that ends inside a value is a fault too, which np.fromfile would drop
+    if size - offset != expected * dtype.itemsize:
+        raise CubeFormatError(f"payload holds {size - offset} bytes, header declares "
+                              f"{expected} values of {dtype.itemsize} bytes")
+    raw = np.fromfile(path, dtype=dtype, offset=offset)
 
     if interleave == "bip":
         arr = raw.reshape(lines, samples, bands)
@@ -216,13 +220,19 @@ def synth_scene(spec: SynthSpec):
 
 def write_file(path, payload):
     """Write ``payload`` (bytes, or ASCII text) to ``path`` whole or not at all: make the
-    parent directory, write ``<path>.tmp`` and rename it over ``path``."""
+    parent directory, write ``<path>.tmp`` and rename it over ``path``; a failed write or
+    rename removes ``<path>.tmp``."""
     if isinstance(payload, str):
         payload = payload.encode("ascii")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{path}.tmp", "wb") as fh:
-        fh.write(payload)
-    os.replace(f"{path}.tmp", path)
+    fh = open(f"{path}.tmp", "wb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(f"{path}.tmp", path)
+    except BaseException:
+        os.unlink(f"{path}.tmp")
+        raise
 
 
 def _csv_text(rows, fmt="%s"):

@@ -1,7 +1,8 @@
 """Core container types: cubes, spectra libraries, abundance maps.
 
-All arrays are float64 and immutable by convention (writeable flag cleared),
-so instances can be shared freely across threads.
+Every array is a read-only C-contiguous float64 view.  A view shares memory
+with the array it was made from, which is the caller's own array when that is
+already C-contiguous float64; the caller's array stays writeable.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ ABUNDANCE_SUM_TOL = 1e-6
 
 def _frozen(a, shape=None):
     arr = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    if shape is not None:
-        arr = arr.reshape(shape)
+    # a reshape is a new view, so the caller's array keeps its flag
+    arr = arr.reshape(shape or arr.shape)
     arr.flags.writeable = False
     return arr
 

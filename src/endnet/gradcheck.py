@@ -181,14 +181,13 @@ def _random_instance(rng, d, k, n, hyper):
 def check_full_loss(rng, d=None, k=None, n=None, hyper=None):
     """FD check of the complete loss gradient for every trainable array.
 
-    ``hyper`` defaults to the reference setup with top_n capped at k; with
-    ``dropout_p < 1`` a dropout mask is drawn with the instance and pinned
-    for every evaluation.
+    ``hyper`` defaults to the reference setup; with ``dropout_p < 1`` a
+    dropout mask is drawn with the instance and pinned for every evaluation.
     """
     d = d or int(rng.integers(5, 21))
     k = k or int(rng.integers(2, 7))
     n = n or int(rng.integers(2, 9))
-    hyper = hyper or net.HyperParams(top_n=min(net.HyperParams.top_n, k))
+    hyper = hyper or net.HyperParams()
     model, X, mask = _random_instance(rng, d, k, n, hyper)
     params = model.params()
 

@@ -38,7 +38,7 @@ EPS = 1e-8
 THETA_CLIP = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
     """Loss weights and layer knobs; defaults follow the reference setup."""
 
@@ -52,16 +52,21 @@ class HyperParams:
         "flag": "--dropout", "help": "dropout keep probability p"})
     top_n: int = field(default=2, metadata={"help": "hard-selected activation count"})
 
-    def validate(self, k=None):
+    def __post_init__(self):
         """Raise ValueError, naming the field, on an out-of-range or non-finite value."""
         for name in ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
         if not 0.0 < self.dropout_p <= 1.0:
             raise ValueError("dropout_p must lie in (0, 1]")
-        if k is not None and k < 1:
+        if self.top_n < 1:
+            raise ValueError("top_n must lie in [1, k]")
+
+    def check_k(self, k):
+        """Raise ValueError unless these settings can train k endmembers."""
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.top_n < 1 or (k is not None and self.top_n > k):
+        if self.top_n > k:
             raise ValueError("top_n must lie in [1, k]")
 
 
@@ -303,9 +308,9 @@ def dropout_mask(rng, shape, p):
 
 
 def _topn_mask(z, top_n):
-    """Boolean mask of the top_n largest entries per row; stable tie-break.
+    """Boolean mask of the top_n largest entries per row, every entry if top_n >= k.
 
-    The rows of any leading axes are set through one 2-D fancy index.
+    Stable tie-break; the rows of any leading axes are set through one 2-D fancy index.
     """
     k = z.shape[-1]
     order = np.argsort(-z, axis=-1, kind="stable").reshape(-1, k)
@@ -341,7 +346,6 @@ def forward_batch(model, X, hyper, mode="train", dropout_mask=None):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[-1] != model.d:
         raise ValueError("band count mismatch between batch and model")
-    hyper.validate(model.k)
 
     enc = angle(X, model.w_enc, THETA_CLIP)
     run_stats = None if mode == "train" else (model.run_mean, model.run_var)

@@ -18,7 +18,7 @@ ADAM_EPS = 1e-8
 LOG_EVERY = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iters: int = field(default=20000, metadata={"help": "training iterations"})
     lr: float = field(default=0.001, metadata={"help": "learning rate"})
@@ -31,8 +31,8 @@ class TrainConfig:
         "help": "corruption noise std; %(default)s means 0.1 * cube std"})
     seed: int = field(default=0, metadata={"help": "RNG seed"})
 
-    def validate(self, k=None):
-        """Raise ValueError, naming the field, on a bad value; ``hyper`` is checked against k."""
+    def __post_init__(self):
+        """Raise ValueError, naming the field, on a bad value."""
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if not 0.0 < self.lr < math.inf:
@@ -47,7 +47,6 @@ class TrainConfig:
             raise ValueError("corrupt_sigma must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.hyper.validate(k)
 
 
 @dataclass
@@ -159,7 +158,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     drives batch sampling, corruption and dropout in a fixed order.  The
     log holds iteration 1, every ``LOG_EVERY``-th iteration and the last.
     """
-    cfg.validate(init.k)
+    cfg.hyper.check_k(init.k)
     pixels = cube.data
     n = pixels.shape[0]
     model = EndNetModel.from_endmembers(init.endmembers.rows)

@@ -109,6 +109,24 @@ def test_extract_bad_envi_header_is_an_io_error(tmp_path, capsys, fault, message
     assert not (tmp_path / "run.endn").exists()
 
 
+def test_extract_reads_an_envi_header_with_a_latin1_byte(tmp_path, capsys):
+    # 5 samples x 4 lines x 30 bands; the 0xe9 of "caf\xe9" is no UTF-8
+    cube = np.random.default_rng(3).uniform(0.1, 1.0, (4, 5, 30)).astype("<f4")
+    img = tmp_path / "cube.img"
+    img.write_bytes(np.ascontiguousarray(cube.transpose(2, 0, 1)).tobytes())
+    (tmp_path / "cube.img.hdr").write_bytes(
+        b"ENVI\ndescription = {caf\xe9}\nsamples = 5\nlines = 4\nbands = 30\n"
+        b"data type = 4\ninterleave = bsq\nbyte order = 0\n")
+    with pytest.warns(UserWarning, match=r"ignoring unsupported ENVI header keys: \['description'\]"):
+        rc = main(["extract", "--input", str(img), "--k", "3", *_FAST_TRAIN,
+                   "--out-prefix", str(tmp_path / "run")])
+        loaded = data_io.load_cube(img)
+    assert rc == 0, capsys.readouterr().err
+    assert (loaded.height, loaded.width, loaded.bands) == (4, 5, 30)
+    np.testing.assert_array_equal(loaded.data, cube.reshape(20, 30))
+    assert load_spectra_csv(tmp_path / "run_endmembers.csv").rows.shape == (3, 30)
+
+
 def test_abundances_hidden(scene_dir, tmp_path):
     prefix = tmp_path / "run"
     rc = main(["extract", "--input", str(scene_dir / "cube.csv"), "--k", "3",
@@ -152,6 +170,23 @@ def test_eval_repeats(scene_dir, tmp_path, capsys):
     assert text[0] == "endmember,mean_sad,std_sad,mean_rmse,std_rmse"
     assert len(text) == 4
     assert "mean SAD over 2 runs" in capsys.readouterr().out
+
+
+def test_eval_repeats_trains_run_r_with_seed_plus_r(scene_dir, tmp_path, monkeypatch):
+    seeds = []
+
+    def spy(cube, init, cfg):
+        seeds.append(cfg.seed)
+        return train(cube, init, cfg)
+
+    train = cli.train
+    monkeypatch.setattr(cli, "train", spy)
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
+               "--gt-spectra", str(scene_dir / "endmembers.csv"), "--k", "3",
+               "--repeats", "3", "--iters", "150", "--batch", "16", "--seed", "4",
+               "--out-prefix", str(tmp_path / "rep")])
+    assert rc == 0
+    assert seeds == [4, 5, 6]
 
 
 def test_eval_repeats_without_abundances_leaves_the_rmse_columns_empty(scene_dir, tmp_path):
@@ -305,6 +340,21 @@ def test_bad_flag_fails_before_any_file_is_read(monkeypatch, tmp_path, capsys, c
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command[-2][2:]} ")
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--k", "3", "--top-n", "4"], "top_n"), (["--k", "0"], "k")])
+def test_settings_that_do_not_fit_k_fail_before_any_file_is_read(
+        monkeypatch, tmp_path, capsys, flags, field):
+    def unread(path):
+        raise OSError(f"{path} must not be read")
+
+    monkeypatch.setattr(data_io, "load_cube", unread)
+    rc = main(["extract", "--input", "cube.csv", *flags, *_FAST_TRAIN,
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {field} must {'be >= 1' if field == 'k' else 'lie in [1, k]'}"]
 
 
 def test_exit_code_k_too_large(scene_dir, tmp_path, capsys):

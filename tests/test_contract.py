@@ -1,25 +1,28 @@
 """The command-line input contract, probed with generated files.
 
-Whatever bytes a checkpoint or a CSV holds, ``endnet.cli.main`` either
-succeeds (exit 0) or fails with exit 1 or 2 and exactly one ``error:`` line
-on stderr; no exception escapes it.
+Whatever bytes a checkpoint, a CSV or an ENVI cube holds, ``endnet.cli.main``
+either succeeds (exit 0) or fails with exit 1 or 2 and exactly one ``error:``
+line on stderr; no exception escapes it.  An ENVI cube that does not load
+exits 1.
 """
 
 import contextlib
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from endnet import EndNetModel, SynthSpec  # noqa: E402
 from endnet.cli import main  # noqa: E402
-from endnet.data_io import (save_abundance_maps, save_cube_csv,  # noqa: E402
+from endnet.data_io import (load_cube, save_abundance_maps, save_cube_csv,  # noqa: E402
                             save_spectra_csv, synth_scene)
+from endnet.errors import CubeFormatError, NonFiniteValue  # noqa: E402
 
 _K, _D, _N = 3, 6, 16
 _CUBE, _ENDM, _ABUND = synth_scene(SynthSpec(k=_K, bands=_D, n_pixels=_N, seed=2))
@@ -125,3 +128,87 @@ def test_eval_keeps_the_contract_on_any_csv(tmp_path, est, gt, est_ab, gt_ab, wi
             path.write_text(text)
         argv += [flag, str(path)]
     _assert_contract(*_run(argv))
+
+
+# an ENVI cube of 3 samples x 2 lines x 4 bands, and the header that describes it
+_ENVI_SOUND = {"samples": b"3", "lines": b"2", "bands": b"4", "data type": b"4",
+               "interleave": b"bsq", "byte order": b"0"}
+_ENVI_TYPES = {1: "u1", 2: "i2", 3: "i4", 4: "f4", 5: "f8", 12: "u2", 13: "u4"}
+_ENVI_VALUES = np.random.default_rng(4).uniform(10.0, 100.0, 3 * 2 * 4)
+_ENVI_EXTRACT = ["--k", "2", "--iters", "20", "--batch", "4", "--seed", "0"]
+
+
+def _write_envi(tmp_path, values, extra, payload):
+    """Write ``payload`` and a header of one ``key = value`` line per value that is not None,
+    then the ``extra`` lines; returns the cube's path."""
+    lines = [b"ENVI"] + [key.encode() + b" = " + value
+                         for key, value in values.items() if value is not None]
+    (tmp_path / "cube.img.hdr").write_bytes(b"\n".join(lines + extra) + b"\n")
+    (tmp_path / "cube.img").write_bytes(payload)
+    return tmp_path / "cube.img"
+
+
+def _extract(tmp_path, img):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # unsupported header keys
+        return _run(["extract", "--input", str(img), *_ENVI_EXTRACT,
+                     "--out-prefix", str(tmp_path / "out" / "x")])
+
+
+def _loads(img):
+    """Whether ``load_cube`` reads ``img``; a fault must be one that exits 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            load_cube(img)
+        except (CubeFormatError, NonFiniteValue):
+            return False
+    return True
+
+
+_header_value = st.one_of(
+    st.binary(max_size=12), st.integers(-3, 40).map(lambda i: str(i).encode()),
+    st.sampled_from([b"bsq", b"bil", b"bip", b"BIP", b"{4}", b"1e3", b"4.0", b"1_0", b" 7 ",
+                     b"9" * 30, b"\xe9", b"\r", b"\x85"]))
+
+
+@st.composite
+def _envi_header_values(draw):
+    """The sound header's values, with up to two keys missing or set to any bytes."""
+    values = {**_ENVI_SOUND, "header offset": b"0"}
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True)):
+        values[key] = draw(st.none() | _header_value)
+    return values
+
+
+# a payload of whole values of any ENVI type, or of any length
+_payload_size = (st.sampled_from([n * len(_ENVI_VALUES) for n in (1, 2, 4, 8)])
+                 | st.integers(0, 8 * len(_ENVI_VALUES) + 16))
+
+
+@given(values=_envi_header_values(), extra=st.lists(st.binary(max_size=24), max_size=3),
+       size=_payload_size)
+@example(values=_ENVI_SOUND, extra=[b"description = {caf\xe9}"], size=4 * len(_ENVI_VALUES))
+@_SETTINGS
+def test_extract_keeps_the_contract_on_any_envi_header(tmp_path, values, extra, size):
+    # the payload is the float32 cube, cut short or repeated to ``size`` bytes
+    cube = _ENVI_VALUES.astype("<f4").tobytes()
+    img = _write_envi(tmp_path, values, extra, (cube * (1 + size // len(cube)))[:size])
+    rc, err = _extract(tmp_path, img)
+    _assert_contract(rc, err)
+    if not _loads(img):
+        assert rc == 1, err
+
+
+@given(interleave=st.sampled_from([b"bsq", b"bil", b"bip"]), code=st.sampled_from(sorted(_ENVI_TYPES)),
+       byte_order=st.sampled_from([0, 1]), offset=st.integers(0, 24), delta=st.integers(-9, 9))
+@_SETTINGS
+def test_extract_exits_1_on_an_envi_payload_of_the_wrong_size(
+        tmp_path, interleave, code, byte_order, offset, delta):
+    dtype = np.dtype(_ENVI_TYPES[code]).newbyteorder("<>"[byte_order])
+    payload = b"\xff" * offset + _ENVI_VALUES.astype(dtype).tobytes()
+    payload = payload[:len(payload) + delta] if delta < 0 else payload + b"\0" * delta
+    values = {**_ENVI_SOUND, "interleave": interleave, "data type": str(code).encode(),
+              "byte order": str(byte_order).encode(), "header offset": str(offset).encode()}
+    rc, err = _extract(tmp_path, _write_envi(tmp_path, values, [], payload))
+    assert (rc, err) == (0, []) if delta == 0 else (rc == 1 and len(err) == 1), (rc, err)

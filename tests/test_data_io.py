@@ -333,6 +333,18 @@ def test_float_csv_bytes_match_savetxt(tmp_path):
     assert (tmp_path / "e.csv").read_text() == ref.getvalue()
 
 
+@pytest.mark.parametrize("frozen", [
+    lambda a: SpectraMatrix(a).rows,
+    lambda a: HyperCube(3, 1, 4, a).data,
+    lambda a: AbundanceMap(3, 1, a).values])
+def test_containers_freeze_a_view_not_the_callers_array(frozen):
+    a = np.full((3, 4), 0.25)
+    view = frozen(a)
+    a[0, 0] = 0.25  # SpectraMatrix(a) used to make this raise "read-only"
+    assert np.shares_memory(view, a)
+    assert a.flags.writeable and not view.flags.writeable
+
+
 _WRITERS = {
     "EndNetModel.save": lambda d: EndNetModel.from_endmembers(np.eye(2, 3) + 0.1).save(
         d / "m.endn"),
@@ -358,6 +370,7 @@ def test_a_failed_write_leaves_the_old_file(tmp_path, monkeypatch, writer):
     with pytest.raises(OSError, match="disk full"):
         _WRITERS[writer](tmp_path)
     assert all(p.read_bytes() == blob for p, blob in old.items())
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _file_write(node):

@@ -355,18 +355,23 @@ def test_dropout_mask_scales_and_draws_nothing_at_p_one():
 
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
-        HyperParams(lambda2=-0.1).validate()
+        HyperParams(lambda2=-0.1)
     with pytest.raises(ValueError):
-        HyperParams(dropout_p=0.0).validate()
+        HyperParams(dropout_p=0.0)
     with pytest.raises(ValueError):
-        HyperParams(top_n=4).validate(k=3)
+        HyperParams(top_n=4).check_k(3)
 
 
 @pytest.mark.parametrize("field, value", [
     ("lambda0", np.inf), ("lambda1", np.nan), ("lambda5", np.nan), ("dropout_p", np.nan)])
 def test_hyperparams_reject_non_finite_and_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
-        HyperParams(**{field: value}).validate()
+        HyperParams(**{field: value})
+
+
+def test_hyperparams_reject_a_top_n_below_one_when_made():
+    with pytest.raises(ValueError, match="^top_n "):
+        HyperParams(top_n=0)
 
 
 # --- loss -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Corruption, Adam, and the deterministic training loop."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -162,13 +163,13 @@ def test_adam_nonfinite_gradient():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
-        TrainConfig(corrupt_mask_frac=1.5).validate()
+        TrainConfig(corrupt_mask_frac=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0).validate()
+        TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(iters=0).validate()
+        TrainConfig(iters=0)
 
 
 def test_train_deterministic_checkpoints(small_scene, small_init, tmp_path, monkeypatch):
@@ -280,17 +281,33 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
     ("seed", -1)])
 def test_config_rejects_out_of_range_and_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 def test_config_validates_its_hyper_against_k():
-    TrainConfig().validate(k=2)
+    TrainConfig().hyper.check_k(2)
     with pytest.raises(ValueError, match="^lambda2 "):
-        TrainConfig(hyper=HyperParams(lambda2=-1.0)).validate()
+        TrainConfig(hyper=HyperParams(lambda2=-1.0))
     with pytest.raises(ValueError, match="^top_n "):
-        TrainConfig(hyper=HyperParams(top_n=3)).validate(k=2)
+        TrainConfig(hyper=HyperParams(top_n=3)).hyper.check_k(2)
     with pytest.raises(ValueError, match="^k "):
-        TrainConfig().validate(k=0)
+        TrainConfig().hyper.check_k(0)
+
+
+def test_train_checks_top_n_against_its_k(small_scene, small_init):
+    cube, _, _ = small_scene
+    cfg = TrainConfig(iters=1, hyper=HyperParams(top_n=small_init.k + 1))
+    with pytest.raises(ValueError, match="^top_n "):
+        train(cube, small_init, cfg)
+
+
+@pytest.mark.parametrize("settings, name", [(HyperParams(), "top_n"), (TrainConfig(), "seed")])
+def test_settings_are_frozen(settings, name):
+    # a variant is dataclasses.replace(settings, ...), which checks its fields again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, name, 1)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        dataclasses.replace(settings, **{name: -1})
 
 
 # --- bit identity against the plain NumPy step ------------------------------
