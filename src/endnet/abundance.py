@@ -7,6 +7,7 @@ constrained least-squares solver used as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -171,18 +172,10 @@ class _EndmemberSet:
         return found
 
 
-_last_set = (None, None)  # (key, _EndmemberSet) of the last endmember matrix fcls saw
-
-
-def _endmember_set(E):
-    """The _EndmemberSet of E, rebuilt only when E's shape, dtype or bytes change."""
-    global _last_set
-    key = (E.shape, E.dtype, E.tobytes())
-    last_key, found = _last_set
-    if last_key != key:
-        found = _EndmemberSet(E)
-        _last_set = (key, found)
-    return found
+@functools.lru_cache(maxsize=1)  # fcls sees one endmember matrix per run of pixels
+def _endmember_set(shape, dtype, blob):
+    """The _EndmemberSet of the matrix of these bytes; a set that raises is not cached."""
+    return _EndmemberSet(np.frombuffer(blob, dtype).reshape(shape))
 
 
 def fcls(pixel, endmembers):
@@ -199,7 +192,7 @@ def fcls(pixel, endmembers):
     x = np.asarray(pixel, dtype=np.float64)
     if k == 1:
         return np.array([1.0])
-    es = _endmember_set(E)
+    es = _endmember_set(E.shape, E.dtype, E.tobytes())
     gram = es.gram
     ex = E @ x
     b = np.empty(k + 1)  # [2 E x, 1]: every free set's right-hand side is a pick of its rows

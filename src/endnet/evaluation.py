@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data_io import _csv_text, write_file
 from .datatypes import AbundanceMap, SpectraMatrix
@@ -39,6 +38,7 @@ def _assign(cost, greedy):
             taken.add(i)
             assignment[i] = j
         return assignment
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return {int(i): int(j) for i, j in zip(rows, cols)}
 

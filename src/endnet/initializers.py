@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .datatypes import HyperCube, SpectraMatrix
 from .errors import DegenerateData
@@ -115,6 +114,7 @@ def _pair_search(X, sq):
 def _hull_vertices(Z):
     if Z.shape[1] == 1:
         return np.array([np.argmin(Z[:, 0]), np.argmax(Z[:, 0])])
+    from scipy.spatial import ConvexHull
     # "QJ" joggles the input, so flat or repeated projections still give a hull
     return ConvexHull(Z, qhull_options="QJ").vertices
 

@@ -296,8 +296,7 @@ def relu_topn_l1(z_pre, dropout_mask, top_n):
     (z, z_star, y); an all-zero z yields the zero vector for y.
     """
     z_pre = np.atleast_2d(np.asarray(z_pre, dtype=np.float64))
-    r = np.broadcast_to(np.asarray(dropout_mask, dtype=np.float64), z_pre.shape)
-    z = r * (z_pre * (z_pre > 0.0))
+    z = dropout_mask * (z_pre * (z_pre > 0.0))
     z_star = z * _topn_mask(z, top_n)
     return z, z_star, l1norm(z_star)
 
@@ -423,13 +422,13 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     d_wdec = d_xhat.swapaxes(-1, -2) @ trace.y + 2.0 * hyper.lambda4 * model.w_dec
     d_y = d_xhat @ model.w_dec
 
-    # l1norm_backward is already zero off the top-n support
+    # no ReLU mask: dz is exactly +0.0 wherever z is 0 (ReLU off, dropped
+    # or off the top n), since l1norm_backward gives 0.0 off z* > 0 and the
+    # sparsity term is gated by z > 0
     dz_star = l1norm_backward(d_y, trace.z_star, trace.y)
     dz = dz_star + (hyper.lambda2 / n) * (trace.z > 0.0)
-    df = dz * trace.dropout_mask
-    d_bn = df * (trace.bn_out > 0.0)
 
-    d_h, g_sum = batchnorm_backward(d_bn, trace.bn_var, trace.bn_centered)
+    d_h, g_sum = batchnorm_backward(dz * trace.dropout_mask, trace.bn_var, trace.bn_centered)
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
     d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 

@@ -7,6 +7,7 @@ from scipy.optimize import nnls
 from endnet import (EndNetModel, HyperCube, HyperParams, SpectraMatrix, SynthSpec,
                     estimate_abundances, fcls, forward_batch, hidden_abundances,
                     spu_abundances, spu_sad)
+from endnet import abundance
 from endnet.abundance import _pairwise_d2, _solve1, simplex_project
 from endnet.data_io import normalize_cube, synth_scene
 from endnet.errors import DegenerateSimplex, NonFiniteValue
@@ -344,6 +345,30 @@ def test_fcls_k1_between_larger_sets():
     for single in (E[:1], np.zeros((1, 12))):
         assert np.array_equal(fcls(x, single), [1.0])
     assert np.array_equal(fcls(x, E), first)
+
+
+def test_fcls_raises_after_4k_plus_8_active_set_steps(monkeypatch):
+    # a solver that cycles the active set: with every variable free it makes
+    # coordinate 0 negative, so fcls clamps variable 0; with it clamped it
+    # gives the multiplier -1e6, so fcls frees variable 0 again
+    k = 3
+    E = _random_endmembers(k, 10, 16)
+    sizes = []
+
+    def cycling_solve(kkt, rhs, signature):
+        m = kkt.shape[0] - 1
+        sizes.append(m)
+        sol = np.full(m + 1, 1.0 / m)
+        if m == k:
+            sol[0] = -1.0
+        else:
+            sol[m] = -1e6
+        return sol
+
+    monkeypatch.setattr(abundance, "_solve1", cycling_solve)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fcls(E.mean(axis=0), E)
+    assert sizes == [k, k - 1] * (2 * k + 4)
 
 
 def test_spu_l2_matches_fcls_in_simplex():

@@ -250,6 +250,17 @@ def test_module_entry_point_runs_main():
         "sad", "batchnorm", "l1norm", "full_loss"]
 
 
+def test_cli_import_loads_no_scipy_optimize_or_spatial():
+    # eval's matching and the dmaxd hull import them when they run
+    src = str(Path(endnet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, endnet.cli; "
+         "print(*[m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 _TRIALS = "error: trials must be >= 1"
 _TOL = "error: tol must be positive and finite"
 

@@ -409,6 +409,17 @@ def test_only_write_file_writes_files():
     assert found == []
 
 
+def test_no_global_statements():
+    # module state a function rebinds is shared by every caller; a cache
+    # belongs in functools
+    found = []
+    for path in sorted(Path(endnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+    assert found == []
+
+
 def test_abundance_map_invariants():
     with pytest.raises(ValueError):
         AbundanceMap(1, 1, [[0.5, 0.6]])
