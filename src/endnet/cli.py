@@ -117,18 +117,16 @@ def _eval_repeats(args):
         sads.append(report.per_endmember_sad)
         if report.per_endmember_rmse is not None:
             rmses.append(report.per_endmember_rmse)
-    sads = np.array(sads)
-    lines = ["endmember,mean_sad,std_sad,mean_rmse,std_rmse"]
-    for j in range(gt.count):
-        row = f"{j + 1},{sads[:, j].mean():.10g},{sads[:, j].std():.10g}"
-        if rmses:
-            arr = np.array(rmses)
-            row += f",{arr[:, j].mean():.10g},{arr[:, j].std():.10g}"
-        else:
-            row += ",,"
-        lines.append(row)
+    sads, rmses = np.array(sads), np.array(rmses)
+
+    def stats(runs):
+        return f"{runs.mean():.10g}", f"{runs.std():.10g}"
+
+    rows = [("endmember", "mean_sad", "std_sad", "mean_rmse", "std_rmse")]
+    rows += [(j + 1, *stats(sads[:, j]), *(stats(rmses[:, j]) if rmses.size else ("", "")))
+             for j in range(gt.count)]
     out = f"{args.out_prefix}_repeats.csv"
-    data_io.write_file(out, "\n".join(lines) + "\n")
+    data_io.write_file(out, data_io._csv_text(rows))
     print(f"mean SAD over {args.repeats} runs: {sads.mean():.6f} "
           f"(x1e-2: {sads.mean() * 100:.2f})")
     print(f"wrote {out}")

@@ -58,12 +58,14 @@ def _find_envi_header(path):
 
 
 def _from_file(path, make, *args):
-    """``make(*args)`` for a container read from ``path``; the container's one
-    finiteness scan names the file."""
+    """``make(*args)`` for a container read from ``path``; a fault that the
+    container finds in the values (non-finite, or out of range) names the file."""
     try:
         return make(*args)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"non-finite values in {path}") from exc
+    except ValueError as exc:
+        raise CubeFormatError(f"{path}: {exc}") from exc
 
 
 def load_envi(path):
@@ -278,7 +280,10 @@ def save_spectra_csv(spectra: SpectraMatrix, path):
 
 def load_spectra_csv(path):
     spectra = _from_file(path, SpectraMatrix, _load_csv(path, "spectra CSV", "spectra"))
-    # the squared row norms that angle takes
-    if not np.isfinite(np.einsum("ij,ij->i", spectra.rows, spectra.rows)).all():
+    # the squared row norms that angle takes: finite, and none zero
+    sq_norms = np.einsum("ij,ij->i", spectra.rows, spectra.rows)
+    if not np.isfinite(sq_norms).all():
         raise CubeFormatError(f"squared norms overflow in spectra CSV {path}")
+    if not sq_norms.all():
+        raise CubeFormatError(f"zero-norm spectrum in spectra CSV {path}")
     return spectra

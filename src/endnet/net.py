@@ -31,7 +31,6 @@ from .errors import CubeFormatError, NumericalDivergence
 
 CHECKPOINT_MAGIC = b"ENDN"
 CHECKPOINT_VERSION = 1
-BN_MOMENTUM = 0.9
 # keeps the batch-norm variance, the l1 mass and the KL log's argument off zero
 EPS = 1e-8
 # training clamps cosines to +-(1 - THETA_CLIP), where the angle has a finite slope
@@ -90,7 +89,6 @@ class EndNetModel:
             self.w_enc.shape[:-2], self.rho.shape[:-1], self.w_dec.shape[:-2])
         self.run_mean = np.zeros(k) if run_mean is None else np.array(run_mean, dtype=np.float64)
         self.run_var = np.ones(k) if run_var is None else np.array(run_var, dtype=np.float64)
-        self._stats_initialized = False
 
     @property
     def k(self):
@@ -111,15 +109,6 @@ class EndNetModel:
 
     def params(self):
         return {"w_enc": self.w_enc, "rho": self.rho, "w_dec": self.w_dec}
-
-    def update_run_stats(self, mean, var):
-        if not self._stats_initialized:
-            self.run_mean = mean.copy()
-            self.run_var = var.copy()
-            self._stats_initialized = True
-        else:
-            self.run_mean = BN_MOMENTUM * self.run_mean + (1.0 - BN_MOMENTUM) * mean
-            self.run_var = BN_MOMENTUM * self.run_var + (1.0 - BN_MOMENTUM) * var
 
     def save(self, path):
         if self.replicas:
@@ -158,10 +147,7 @@ class EndNetModel:
         for rows in (w_enc, w_dec.T):
             if not np.isfinite(np.einsum("...ij,...ij->...i", rows, rows)).all():
                 raise CubeFormatError(f"squared norms overflow in checkpoint {path}")
-        model = cls(w_enc=w_enc, rho=parts[1], w_dec=w_dec,
-                    run_mean=parts[2], run_var=parts[3])
-        model._stats_initialized = True
-        return model
+        return cls(w_enc=w_enc, rho=parts[1], w_dec=w_dec, run_mean=parts[2], run_var=parts[3])
 
 
 class Angle(NamedTuple):

@@ -16,6 +16,7 @@ from .net import EndNetModel, HyperParams, dropout_mask, forward_batch, loss
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_EVERY = 1000
+BN_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,9 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
 
     Bit-deterministic given (cube, init, cfg.seed): a single seeded RNG
     drives batch sampling, corruption and dropout in a fixed order.  The
-    log holds iteration 1, every ``LOG_EVERY``-th iteration and the last.
+    model's running batch-norm statistics start as iteration 1's batch
+    statistics and then move by ``BN_MOMENTUM``.  The log holds iteration
+    1, every ``LOG_EVERY``-th iteration and the last.
     """
     cfg.hyper.check_k(init.k)
     pixels = cube.data
@@ -177,7 +180,11 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
         noisy = corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
         mask = dropout_mask(rng, (cfg.batch_size, model.k), cfg.hyper.dropout_p)
         trace = forward_batch(model, noisy, cfg.hyper, mode="train", dropout_mask=mask)
-        model.update_run_stats(trace.bn_mean, trace.bn_var)
+        if it == 1:
+            model.run_mean, model.run_var = trace.bn_mean, trace.bn_var
+        else:
+            model.run_mean = BN_MOMENTUM * model.run_mean + (1.0 - BN_MOMENTUM) * trace.bn_mean
+            model.run_var = BN_MOMENTUM * model.run_var + (1.0 - BN_MOMENTUM) * trace.bn_var
         try:
             loss_val, grads = loss(trace, model, cfg.hyper, clean)
             adam_step(flat, np.concatenate([grads[k].reshape(-1) for k in names]),

@@ -473,7 +473,16 @@ def test_exit_code_empty_csv_cube(tmp_path, capsys, text):
     pytest.param("--est-abund", "pixel,a1,a2,a3\n1,nan,0.5,0.5\n", "non-finite values in {}",
                  id="est-abund-nan"),
     pytest.param("--gt-abund", "pixel,a1,a2,a3\n1,0.5,inf,0.5\n", "non-finite values in {}",
-                 id="gt-abund-inf")])
+                 id="gt-abund-inf"),
+    pytest.param("--est-abund", "pixel,a1,a2,a3\n1,0.5,0.2,0.2\n",
+                 "{}: each pixel's abundances must sum to one", id="est-abund-sum"),
+    pytest.param("--gt-abund", "pixel,a1,a2,a3\n1,-0.5,1.0,0.5\n",
+                 "{}: abundances must be nonnegative", id="gt-abund-negative"),
+    pytest.param("--est-abund", "pixel\n0\n1\n",
+                 "{}: each pixel's abundances must sum to one", id="est-abund-pixel-column-only"),
+    # three spectra of the scene's 25 bands, the first all zero
+    pytest.param("--est-spectra", "".join(",".join([v] * 25) + "\n" for v in ("0", "1", "0.5")),
+                 "zero-norm spectrum in spectra CSV {}", id="spectra-zero-row")])
 def test_eval_unreadable_csv_is_an_io_error(scene_dir, tmp_path, capsys, flag, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

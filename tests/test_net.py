@@ -265,7 +265,7 @@ def test_l1norm_backward_one_hot_and_empty():
 def _toy_model(rng, d=12, k=3):
     w = rng.uniform(0.1, 1.0, (k, d))
     model = EndNetModel.from_endmembers(w)
-    model.update_run_stats(np.full(k, 0.6), np.full(k, 0.01))
+    model.run_mean, model.run_var = np.full(k, 0.6), np.full(k, 0.01)
     return model
 
 
@@ -300,7 +300,7 @@ def test_forward_matching_filter_wins():
     # near-orthogonal filters: the sample equal to row j lights up unit j
     w = np.eye(3, 12) + 0.01
     model = EndNetModel.from_endmembers(w)
-    model.update_run_stats(np.full(3, 0.6), np.full(3, 0.05))
+    model.run_mean, model.run_var = np.full(3, 0.6), np.full(3, 0.05)
     trace = forward(model, w[1], HyperParams())
     assert int(np.argmax(trace.y[0])) == 1
 
@@ -717,12 +717,3 @@ def test_checkpoint_bad_files(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(CubeFormatError):
         EndNetModel.load(truncated)
-
-
-def test_run_stats_ema():
-    model = EndNetModel.from_endmembers(np.ones((2, 4)))
-    model.update_run_stats(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(model.run_mean, [1.0, 2.0])
-    model.update_run_stats(np.array([2.0, 4.0]), np.array([3.0, 5.0]))
-    np.testing.assert_allclose(model.run_mean, [1.1, 2.2])
-    np.testing.assert_allclose(model.run_var, [1.2, 1.4])

@@ -273,6 +273,32 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
     assert abs(mean_angle(noisy) - mean_angle(clean)) > 1e-6
 
 
+def test_train_keeps_the_first_batch_statistics_then_their_momentum_average(
+        small_scene, small_init, monkeypatch):
+    # kills dropping iteration 1's copy, which would average the batch
+    # statistics into a new model's zeros and ones, and swapping the weights
+    cube, _, _ = small_scene
+    traces = []
+    real_forward = trainer.forward_batch
+
+    def forward_spy(*args, **kwargs):
+        traces.append(real_forward(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(trainer, "forward_batch", forward_spy)
+    model, _ = train(cube, small_init, TrainConfig(iters=1, seed=0))
+    (first,) = traces
+    assert np.array_equal(model.run_mean, first.bn_mean)
+    assert np.array_equal(model.run_var, first.bn_var)
+
+    traces.clear()
+    model, _ = train(cube, small_init, TrainConfig(iters=2, seed=0))
+    first, second = traces
+    m = trainer.BN_MOMENTUM
+    assert np.array_equal(model.run_mean, m * first.bn_mean + (1.0 - m) * second.bn_mean)
+    assert np.array_equal(model.run_var, m * first.bn_var + (1.0 - m) * second.bn_var)
+
+
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
@@ -382,8 +408,8 @@ def _reference_train(cube, init, cfg):
         if run_mean is None:
             run_mean, run_var = mean.copy(), var.copy()
         else:
-            run_mean = net.BN_MOMENTUM * run_mean + (1.0 - net.BN_MOMENTUM) * mean
-            run_var = net.BN_MOMENTUM * run_var + (1.0 - net.BN_MOMENTUM) * var
+            run_mean = trainer.BN_MOMENTUM * run_mean + (1.0 - trainer.BN_MOMENTUM) * mean
+            run_var = trainer.BN_MOMENTUM * run_var + (1.0 - trainer.BN_MOMENTUM) * var
         # loss
         x_hat = y @ w_dec.T
         diff = x_hat - clean
