@@ -132,6 +132,24 @@ MUTATIONS = [
              "    if not sq_norms.all():\n"
              '        raise CubeFormatError(f"zero-norm spectrum in spectra CSV {path}")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
+    Mutation("checkpoint squared norms may overflow", "endnet/net.py",
+             "        for rows in (w_enc, w_dec.T):\n"
+             '            if not np.isfinite(np.einsum("...ij,...ij->...i", rows, rows)).all():\n'
+             "                raise CubeFormatError("
+             'f"squared norms overflow in checkpoint {path}")\n', "",
+             ("tests/test_cli.py::test_abundances_rejects_an_unsound_checkpoint",)),
+    Mutation("spectra squared norms may overflow", "endnet/data_io.py",
+             "    if not np.isfinite(sq_norms).all():\n"
+             '        raise CubeFormatError(f"squared norms overflow in spectra CSV {path}")\n', "",
+             ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
+    Mutation("a global statement in fcls", "endnet/abundance.py",
+             "    k, _ = E.shape\n", "    global _NEG_TOL\n    k, _ = E.shape\n",
+             ("tests/test_data_io.py::test_no_global_statements",)),
+    Mutation("a pixel-column-only abundance CSV loads", "endnet/data_io.py",
+             "    if vals.shape[1] == 0:\n"
+             "        raise CubeFormatError("
+             'f"abundance CSV {path} holds no abundance column")\n', "",
+             ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
 ]
 
 

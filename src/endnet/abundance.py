@@ -90,22 +90,20 @@ def _bary_solve(d2_ee, d2_ep, active):
 def simplex_project(d2_ee, d2_ep):
     """Project points onto the simplex of k vertices given mutual distances.
 
-    ``d2_ee`` holds the k x k distances among the vertices, ``d2_ep`` one
-    point's squared distances to them (k,) or N points' (N, k); the result
-    has the same shape.  Solves the affine system; while any coordinate of
-    a point is negative, drops the vertex with the most negative coordinate
-    (ties: lower index) and re-solves on the facet.  Points that reach the
-    same facet share one solve.  Dropped vertices get zero abundance.
+    ``d2_ee`` holds the k x k distances among the vertices, ``d2_ep`` the
+    N x k squared distances of N points to them; the result is N x k.
+    Solves the affine system; while any coordinate of a point is negative,
+    drops the vertex with the most negative coordinate (ties: lower index)
+    and re-solves on the facet.  Points that reach the same facet share one
+    solve.  Dropped vertices get zero abundance.
     """
-    d2_ep = np.asarray(d2_ep, dtype=np.float64)
-    rows = np.atleast_2d(d2_ep)
-    out = np.zeros(rows.shape)
-    pending = {tuple(range(len(d2_ee))): [np.arange(rows.shape[0])]}
+    out = np.zeros(d2_ep.shape)
+    pending = {tuple(range(len(d2_ee))): [np.arange(d2_ep.shape[0])]}
     while pending:
         # facets only shrink, so every point bound for a facet is in before it is solved
         active = max(pending, key=len)
         idx = np.concatenate(pending.pop(active))
-        coords = _bary_solve(d2_ee, rows[idx], list(active))
+        coords = _bary_solve(d2_ee, d2_ep[idx], list(active))
         worst = np.argmin(coords, axis=1)
         drop = coords[np.arange(idx.size), worst] < _NEG_TOL
         keep = ~drop
@@ -114,7 +112,7 @@ def simplex_project(d2_ee, d2_ep):
             facet = active[:j] + active[j + 1:]
             pending.setdefault(facet, []).append(idx[drop & (worst == j)])
     out /= out.sum(axis=1, keepdims=True)
-    return out.reshape(d2_ep.shape)
+    return out
 
 
 def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
@@ -129,8 +127,8 @@ def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
     if k < 2:
         raise ValueError("simplex projection needs at least two endmembers")
     pixels = np.asarray(pixels, dtype=np.float64)
-    d2_ee, d2_ep = _pairwise_d2(E, np.atleast_2d(pixels), kernel)
-    return simplex_project(d2_ee, d2_ep[0] if pixels.ndim == 1 else d2_ep)
+    out = simplex_project(*_pairwise_d2(E, np.atleast_2d(pixels), kernel))
+    return out[0] if pixels.ndim == 1 else out
 
 
 class _EndmemberSet:
@@ -231,7 +229,7 @@ def fcls(pixel, endmembers):
 
 
 def hidden_abundances(model, cube: HyperCube):
-    """Encoder activations as abundances (inference-mode forward per pixel).
+    """Encoder activations as abundances (one inference-mode forward of every pixel).
 
     A checkpoint stores no HyperParams, so the defaults apply.  All-zero
     activation vectors fall back to uniform 1/K; the occurrence count is

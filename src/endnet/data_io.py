@@ -244,7 +244,7 @@ def _csv_text(rows, fmt="%s"):
 
 def save_pgm(values, height, width, path):
     """Binary 8-bit PGM (P5); values in [0,1], scaled by 255, round-half-up."""
-    scaled = np.floor(np.asarray(values, dtype=np.float64) * 255.0 + 0.5)
+    scaled = np.floor(values * 255.0 + 0.5)
     bytes_ = np.clip(scaled, 0, 255).astype(np.uint8).reshape(height, width)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     write_file(path, header + bytes_.tobytes())
@@ -270,6 +270,8 @@ def save_abundance_maps(amap: AbundanceMap, out_dir):
 def load_abundance_csv(path):
     """Read the 'pixel,a1..aK' CSV written by save_abundance_maps."""
     vals = _load_csv(path, "abundance CSV", "pixels", skiprows=1)[:, 1:]
+    if vals.shape[1] == 0:
+        raise CubeFormatError(f"abundance CSV {path} holds no abundance column")
     h, w = _grid_shape(vals.shape[0])
     return _from_file(path, AbundanceMap, h, w, vals)
 

@@ -38,7 +38,6 @@ def _central_diff(f, arr):
     element i moved by +h_i, row P + i the same element moved by -h_i,
     where h_i = FD_STEP * max(1, |arr_i|).
     """
-    arr = np.asarray(arr, dtype=np.float64)
     flat = arr.ravel()
     p = flat.size
     h = FD_STEP * np.maximum(1.0, np.abs(flat))

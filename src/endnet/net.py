@@ -15,6 +15,8 @@ axes (which broadcast against each other) is evaluated and differentiated
 for every replica in one call; a single model has no replica axes.
 Gradient checks use it to evaluate all perturbed parameter sets at once.
 Only the checkpoint format (``save``, ``load``) takes one unstacked model.
+``forward_batch`` (its batch) and the loss (its target) convert their
+input; the layers below them take the float64 arrays they are handed.
 """
 
 from __future__ import annotations
@@ -245,7 +247,6 @@ def batchnorm_forward(H, rho, run_stats=None):
     ``H.var(-2)``; infer mode passes ``run_stats = (mean, var)``.  rho is
     (..., K).  Returns (out, mean, var, centered).
     """
-    H = np.asarray(H, dtype=np.float64)
     if run_stats is None:
         n = H.shape[-2]
         if n < 2:
@@ -257,7 +258,7 @@ def batchnorm_forward(H, rho, run_stats=None):
         mean, var = run_stats
         diff = H - mean[..., None, :]
     centered = diff / np.sqrt(var + EPS)[..., None, :]
-    return centered + np.asarray(rho)[..., None, :], mean, var, centered
+    return centered + rho[..., None, :], mean, var, centered
 
 
 def batchnorm_backward(d_out, bn_var, bn_centered):
@@ -266,7 +267,6 @@ def batchnorm_backward(d_out, bn_var, bn_centered):
     Accounts for the dependence of the batch statistics on every sample
     (the row axis, -2).  Returns (dH, drho).
     """
-    d_out = np.asarray(d_out, dtype=np.float64)
     n = d_out.shape[-2]
     inv_std = 1.0 / np.sqrt(bn_var + EPS)[..., None, :]
     g_sum = d_out.sum(axis=-2, keepdims=True)
@@ -281,7 +281,6 @@ def relu_topn_l1(z_pre, dropout_mask, top_n):
     Ties in the top-n selection resolve toward the lower index.  Returns
     (z, z_star, y); an all-zero z yields the zero vector for y.
     """
-    z_pre = np.atleast_2d(np.asarray(z_pre, dtype=np.float64))
     z = dropout_mask * (z_pre * (z_pre > 0.0))
     z_star = z * _topn_mask(z, top_n)
     return z, z_star, l1norm(z_star)
@@ -314,7 +313,6 @@ def l1norm_backward(d_y, z_star, y):
 
     Entries where z*_k = 0 (including rows with no mass) get zero gradient.
     """
-    d_y = np.asarray(d_y, dtype=np.float64)
     s = z_star.sum(axis=-1)
     inner = (d_y * y).sum(axis=-1)
     dz = (d_y - inner[..., None]) / (s + EPS)[..., None]
@@ -343,11 +341,6 @@ def forward_batch(model, X, hyper, mode="train", dropout_mask=None):
         angle=enc, bn_mean=mean, bn_var=var, bn_centered=centered, bn_out=bn_out,
         dropout_mask=r, z=z, z_star=z_star, z_star_sum=z_star.sum(axis=-1), y=y,
         mode=mode)
-
-
-def forward(model, x, hyper):
-    """Infer-mode forward pass of one sample; train mode needs a batch."""
-    return forward_batch(model, np.atleast_2d(x), hyper, mode="infer")
 
 
 def loss_value(trace, model, hyper, target):

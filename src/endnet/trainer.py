@@ -74,7 +74,7 @@ def corrupt(x, mask_frac, sigma, rng):
     max_m = int(np.floor(mask_frac * d))
     x_tilde = x.copy()  # C order, so its flat view below writes through
     if max_m == 0 or sigma == 0.0:
-        # keep the rng stream identical whether or not noise lands
+        # no band can change: return the copy and draw nothing from rng
         return x_tilde
     n = x_tilde.size // d
     m = rng.integers(0, max_m + 1, size=n)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from endnet import (EndNetModel, HyperParams, SpectraMatrix, TrainConfig,
-                    dmaxd, evaluate, fcls, forward, forward_batch,
+                    dmaxd, evaluate, fcls, forward_batch,
                     spu_abundances, spu_sad, train, vca)
 from endnet.gradcheck import run_all
 from endnet.net import angle
@@ -143,7 +143,7 @@ def test_criterion_5_structural_invariants(small_scene, small_init, tmp_path,
     for _ in range(N_PROPERTY_CASES):
         model, d, k = _random_model(rng)
         hyper = HyperParams(top_n=min(2, k))
-        y = forward(model, rng.uniform(0.0, 1.0, d), hyper).y[0]
+        y = forward_batch(model, rng.uniform(0.0, 1.0, d), hyper, mode="infer").y[0]
         s = y.sum()
         if y.min() < 0.0 or not (s == 0.0 or abs(s - 1.0) <= 1e-6):
             failures.append("y simplex")
@@ -166,8 +166,8 @@ def test_criterion_5_structural_invariants(small_scene, small_init, tmp_path,
         model, d, k = _random_model(rng)
         hyper = HyperParams(top_n=min(2, k))
         x = rng.uniform(0.01, 1.0, d)
-        base = forward(model, x, hyper).y[0]
-        if any(np.abs(forward(model, a * x, hyper).y[0] - base).max() > 1e-9
+        base = forward_batch(model, x, hyper, mode="infer").y[0]
+        if any(np.abs(forward_batch(model, a * x, hyper, mode="infer").y[0] - base).max() > 1e-9
                for a in (0.1, 10.0)):
             failures.append("scale invariance")
             break

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from endnet import EndNetModel, HyperParams, forward, forward_batch, gradcheck, loss, net
+from endnet import EndNetModel, HyperParams, forward_batch, gradcheck, loss, net
 from endnet.errors import CubeFormatError, NumericalDivergence
 from endnet.gradcheck import (FD_STEP, check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
@@ -202,19 +202,19 @@ def test_bn_backward_zero_and_constant():
 # --- relu / top-n / l1 ------------------------------------------------------
 
 def test_relu_topn_l1_example():
-    z, z_star, y = relu_topn_l1([3.0, 1.0, 2.0], 1.0, top_n=2)
+    z, z_star, y = relu_topn_l1(np.array([[3.0, 1.0, 2.0]]), 1.0, top_n=2)
     np.testing.assert_array_equal(z[0], [3, 1, 2])
     np.testing.assert_array_equal(z_star[0], [3, 0, 2])
     np.testing.assert_allclose(y[0], [0.6, 0.0, 0.4], atol=1e-8)
 
 
 def test_relu_all_negative():
-    _, _, y = relu_topn_l1([-1.0, -2.0, -0.5], 1.0, top_n=2)
+    _, _, y = relu_topn_l1(np.array([[-1.0, -2.0, -0.5]]), 1.0, top_n=2)
     np.testing.assert_array_equal(y[0], 0.0)
 
 
 def test_topn_tie_lower_index():
-    _, z_star, y = relu_topn_l1([1.0, 1.0, 0.0], 1.0, top_n=1)
+    _, z_star, y = relu_topn_l1(np.array([[1.0, 1.0, 0.0]]), 1.0, top_n=1)
     np.testing.assert_array_equal(z_star[0], [1, 0, 0])
     np.testing.assert_allclose(y[0], [1, 0, 0], atol=1e-8)
 
@@ -239,7 +239,8 @@ def test_topn_mask_equals_put_along_axis_on_ties_and_signed_zeros():
 
 
 def test_dropout_mask_applied():
-    z, z_star, _ = relu_topn_l1([3.0, 1.0, 2.0], np.array([0.0, 2.0, 2.0]), top_n=2)
+    z, z_star, _ = relu_topn_l1(np.array([[3.0, 1.0, 2.0]]), np.array([0.0, 2.0, 2.0]),
+                               top_n=2)
     np.testing.assert_array_equal(z[0], [0, 2, 4])
     np.testing.assert_array_equal(z_star[0], [0, 2, 4])
 
@@ -288,8 +289,8 @@ def test_forward_infer_deterministic():
     model = _toy_model(rng)
     x = rng.uniform(0.1, 1.0, 12)
     hyper = HyperParams()
-    a = forward(model, x, hyper)
-    b = forward(model, x, hyper)
+    a = forward_batch(model, x, hyper, mode="infer")
+    b = forward_batch(model, x, hyper, mode="infer")
     np.testing.assert_array_equal(a.y, b.y)
     loss_value(a, model, hyper, x)
     loss_value(b, model, hyper, x)
@@ -301,7 +302,7 @@ def test_forward_matching_filter_wins():
     w = np.eye(3, 12) + 0.01
     model = EndNetModel.from_endmembers(w)
     model.run_mean, model.run_var = np.full(3, 0.6), np.full(3, 0.05)
-    trace = forward(model, w[1], HyperParams())
+    trace = forward_batch(model, w[1], HyperParams(), mode="infer")
     assert int(np.argmax(trace.y[0])) == 1
 
 
@@ -310,9 +311,9 @@ def test_forward_scale_invariance_infer():
     model = _toy_model(rng)
     x = rng.uniform(0.1, 1.0, 12)
     hyper = HyperParams()
-    base = forward(model, x, hyper).y
+    base = forward_batch(model, x, hyper, mode="infer").y
     for alpha in (0.1, 10.0):
-        np.testing.assert_allclose(forward(model, alpha * x, hyper).y, base,
+        np.testing.assert_allclose(forward_batch(model, alpha * x, hyper, mode="infer").y, base,
                                    atol=1e-12)
 
 
@@ -331,7 +332,7 @@ def test_forward_rejects_zero_sample_and_train_single():
     rng = np.random.default_rng(10)
     model = _toy_model(rng)
     with pytest.raises(ValueError):
-        forward(model, np.zeros(12), HyperParams())
+        forward_batch(model, np.zeros(12), HyperParams(), mode="infer")
     with pytest.raises(ValueError):
         forward_batch(model, np.ones((1, 12)), HyperParams(), mode="train")
 
@@ -395,7 +396,7 @@ def test_loss_dead_sample_finite():
     model.rho[:] = -50.0  # guarantees all-negative bn output at inference
     x = rng.uniform(0.1, 1.0, 12)
     hyper = HyperParams()
-    trace = forward(model, x, hyper)
+    trace = forward_batch(model, x, hyper, mode="infer")
     assert trace.z_star_sum[0] == 0.0
     total = loss_value(trace, model, hyper, np.atleast_2d(x))
     assert np.isfinite(total) and total > 0
