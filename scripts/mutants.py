@@ -130,17 +130,22 @@ MUTATIONS = [
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
     Mutation("zero-norm spectra load", "endnet/data_io.py",
              "    if not sq_norms.all():\n"
-             '        raise CubeFormatError(f"zero-norm spectrum in spectra CSV {path}")\n', "",
+             '        raise CubeFormatError(f"zero-norm spectrum in {what}")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
+    Mutation("checkpoint skips the zero-norm half", "endnet/data_io.py",
+             "    if not sq_norms.all():\n",
+             '    if not sq_norms.all() and not what.startswith("checkpoint"):\n',
+             ("tests/test_cli.py::test_abundances_rejects_an_unsound_checkpoint",)),
     Mutation("checkpoint squared norms may overflow", "endnet/net.py",
-             "        for rows in (w_enc, w_dec.T):\n"
-             '            if not np.isfinite(np.einsum("...ij,...ij->...i", rows, rows)).all():\n'
-             "                raise CubeFormatError("
-             'f"squared norms overflow in checkpoint {path}")\n', "",
+             "        for rows in (w_enc, w_dec.T):  # the filters and the endmembers\n"
+             '            _check_angle_rows(rows, f"checkpoint {path}")\n', "",
              ("tests/test_cli.py::test_abundances_rejects_an_unsound_checkpoint",)),
     Mutation("spectra squared norms may overflow", "endnet/data_io.py",
              "    if not np.isfinite(sq_norms).all():\n"
-             '        raise CubeFormatError(f"squared norms overflow in spectra CSV {path}")\n', "",
+             '        raise CubeFormatError(f"squared norms overflow in {what}")\n', "",
+             ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
+    Mutation("spectra CSV skips the angle check", "endnet/data_io.py",
+             '    _check_angle_rows(spectra.rows, f"spectra CSV {path}")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
     Mutation("a global statement in fcls", "endnet/abundance.py",
              "    k, _ = E.shape\n", "    global _NEG_TOL\n    k, _ = E.shape\n",

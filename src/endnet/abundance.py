@@ -78,10 +78,9 @@ def _bary_solve(d2_ee, d2_ep, active):
         B = 0.5 * (dr + d2_ep[:, [ref]] - d2_ep[:, others])
     if np.linalg.cond(G) > 1e12:
         raise DegenerateSimplex("ill-conditioned simplex system")
-    # G broadcast over one right-hand side per pixel: each pixel gets the
-    # arithmetic of a one-pixel solve, where a multi-column solve would
-    # differ in the last bits and move coordinates near 0 across the clamp
-    sol = np.linalg.solve(G, B[:, :, None])[:, :, 0]
+    # G broadcast over each pixel's 1-D right-hand side, the dgesv call of fcls; a
+    # multi-column solve would move the last bits, and coordinates near 0 across the clamp
+    sol = _solve1(G, B, signature="dd->d")
     if not np.isfinite(sol).all():
         raise NonFiniteValue("pixels contain NaN/Inf values")
     return np.column_stack([sol, 1.0 - sol.sum(axis=1)])

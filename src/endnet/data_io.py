@@ -280,12 +280,17 @@ def save_spectra_csv(spectra: SpectraMatrix, path):
     write_file(path, _csv_text(spectra.rows.tolist(), "%.17g"))
 
 
+def _check_angle_rows(rows, what):
+    """Raise CubeFormatError naming ``what`` unless every row of ``rows`` has the
+    finite, nonzero squared norm that ``net.angle`` takes."""
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    if not np.isfinite(sq_norms).all():
+        raise CubeFormatError(f"squared norms overflow in {what}")
+    if not sq_norms.all():
+        raise CubeFormatError(f"zero-norm spectrum in {what}")
+
+
 def load_spectra_csv(path):
     spectra = _from_file(path, SpectraMatrix, _load_csv(path, "spectra CSV", "spectra"))
-    # the squared row norms that angle takes: finite, and none zero
-    sq_norms = np.einsum("ij,ij->i", spectra.rows, spectra.rows)
-    if not np.isfinite(sq_norms).all():
-        raise CubeFormatError(f"squared norms overflow in spectra CSV {path}")
-    if not sq_norms.all():
-        raise CubeFormatError(f"zero-norm spectrum in spectra CSV {path}")
+    _check_angle_rows(spectra.rows, f"spectra CSV {path}")
     return spectra

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_io import write_file
+from .data_io import _check_angle_rows, write_file
 from .errors import CubeFormatError, NumericalDivergence
 
 CHECKPOINT_MAGIC = b"ENDN"
@@ -145,10 +145,8 @@ class EndNetModel:
         if (parts[3] < 0.0).any():
             raise CubeFormatError(f"negative running variance in checkpoint {path}")
         w_enc, w_dec = parts[0].reshape(k, d), parts[4].reshape(d, k)
-        # the squared row norms that angle takes of the filters and endmembers
-        for rows in (w_enc, w_dec.T):
-            if not np.isfinite(np.einsum("...ij,...ij->...i", rows, rows)).all():
-                raise CubeFormatError(f"squared norms overflow in checkpoint {path}")
+        for rows in (w_enc, w_dec.T):  # the filters and the endmembers
+            _check_angle_rows(rows, f"checkpoint {path}")
         return cls(w_enc=w_enc, rho=parts[1], w_dec=w_dec, run_mean=parts[2], run_var=parts[3])
 
 

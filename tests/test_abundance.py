@@ -283,7 +283,7 @@ def test_fcls_bit_identical_to_per_pixel_reference_on_random_cases():
 
 
 def test_fcls_solve_kernel_is_np_linalg_solve():
-    # fcls calls the private LAPACK gufunc behind np.linalg.solve; a NumPy
+    # fcls and SPU call the private LAPACK gufunc behind np.linalg.solve; a NumPy
     # release that moves or changes it fails here, not in silently moved bits
     rng = np.random.default_rng(21)
     for n in range(2000):
@@ -295,6 +295,15 @@ def test_fcls_solve_kernel_is_np_linalg_solve():
         rhs = np.append(2.0 * rng.uniform(0.0, 5.0, m), 1.0)
         want = np.linalg.solve(kkt, rhs)
         assert np.array_equal(_solve1(kkt, rhs, signature="dd->d"), want)
+    # SPU's form: a facet's positive definite G broadcast over one 1-D
+    # right-hand side per pixel, against one column per pixel
+    for n in range(60):
+        m = 1 + n % 6  # facet systems of sizes 1 to 6
+        A = rng.uniform(0.05, 1.0, (m, 3 * m))
+        G = A @ A.T
+        B = rng.normal(0.0, 2.0, (300, m))
+        want = np.linalg.solve(G, B[:, :, None])[:, :, 0]
+        assert np.array_equal(_solve1(G, B, signature="dd->d"), want)
 
 
 def test_fcls_bit_identical_to_per_pixel_reference_on_162_bands():

@@ -536,12 +536,12 @@ def _with_value(offset, value):
     return lambda blob: blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
 
 
-def _scaled(values):
-    """Scale the payload floats at ``values`` (a slice) by 1e160: finite, but
-    their squared norm overflows."""
+def _scaled(values, factor):
+    """Scale the payload floats at ``values`` (a slice) by ``factor``: 1e160 keeps
+    them finite, but their squared norm overflows; 0 leaves no norm."""
     def damage(blob):
         body = np.frombuffer(blob[16:], dtype="<f8").copy()
-        body[values] *= 1e160
+        body[values] *= factor
         return blob[:16] + body.tobytes()
     return damage
 
@@ -565,10 +565,14 @@ _CK_W_DEC = _CK_K * _CK_D + 3 * _CK_K  # payload index of w_dec[0, 0]
     pytest.param(_with_value(16, np.nan), "non-finite values in checkpoint {}", id="nan-w_enc"),
     pytest.param(_with_value(_CK_RUN_VAR, -1.0), "negative running variance in checkpoint {}",
                  id="negative-run_var"),
-    pytest.param(_scaled(slice(0, _CK_D)), "squared norms overflow in checkpoint {}",
+    pytest.param(_scaled(slice(0, _CK_D), 1e160), "squared norms overflow in checkpoint {}",
                  id="huge-w_enc-row"),
-    pytest.param(_scaled(slice(_CK_W_DEC + 1, None, _CK_K)),
-                 "squared norms overflow in checkpoint {}", id="huge-w_dec-column")])
+    pytest.param(_scaled(slice(_CK_W_DEC + 1, None, _CK_K), 1e160),
+                 "squared norms overflow in checkpoint {}", id="huge-w_dec-column"),
+    pytest.param(_scaled(slice(0, _CK_D), 0.0), "zero-norm spectrum in checkpoint {}",
+                 id="zero-w_enc-row"),
+    pytest.param(_scaled(slice(_CK_W_DEC + 1, None, _CK_K), 0.0),
+                 "zero-norm spectrum in checkpoint {}", id="zero-w_dec-column")])
 def test_abundances_rejects_an_unsound_checkpoint(tmp_path, capsys, method, damage, message):
     rng = np.random.default_rng(0)
     good = tmp_path / "good.endn"
