@@ -155,6 +155,24 @@ MUTATIONS = [
              "        raise CubeFormatError("
              'f"abundance CSV {path} holds no abundance column")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
+    Mutation("ForwardTrace not frozen", "endnet/net.py",
+             "@dataclass(frozen=True)\nclass ForwardTrace:", "@dataclass\nclass ForwardTrace:",
+             ("tests/test_net.py::test_forward_xhat_is_decoder_product",)),
+    Mutation("loss counts the replica axis as the batch", "endnet/net.py",
+             "    n = X_clean.shape[-2]\n", "    n = X_clean.shape[0]\n",
+             ("tests/test_net.py::test_stacked_forward_and_loss_match_solo_calls",)),
+    Mutation("kl and sparsity swapped in LossParts", "endnet/net.py",
+             "LossParts(total, recon, kl, sparsity, reg, x_hat, c)",
+             "LossParts(total, recon, sparsity, kl, reg, x_hat, c)",
+             ("tests/test_trainer.py::test_loss_parts_are_the_reference_terms",)),
+    Mutation("fcls with one endmember skips the finite checks", "endnet/abundance.py",
+             "        if not np.isfinite(E).all():\n"
+             '            raise NonFiniteValue("endmembers contain NaN/Inf values")\n'
+             "        if not np.isfinite(x).all():\n"
+             '            raise NonFiniteValue("pixel contains NaN/Inf values")\n'
+             "        return np.array([1.0])\n",
+             "        return np.array([1.0])\n",
+             ("tests/test_abundance.py::test_unmixing_blames_non_finite_input",)),
 ]
 
 

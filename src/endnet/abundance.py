@@ -188,6 +188,11 @@ def fcls(pixel, endmembers):
     k, _ = E.shape
     x = np.asarray(pixel, dtype=np.float64)
     if k == 1:
+        # one endmember admits only a = [1]; the inputs must still be finite
+        if not np.isfinite(E).all():
+            raise NonFiniteValue("endmembers contain NaN/Inf values")
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("pixel contains NaN/Inf values")
         return np.array([1.0])
     es = _endmember_set(E.shape, E.dtype, E.tobytes())
     gram = es.gram

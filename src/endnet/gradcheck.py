@@ -156,8 +156,8 @@ def _random_instance(rng, d, k, n, hyper):
             ok &= ((zs[..., hyper.top_n - 1] - zs[..., hyper.top_n] >= KINK_MARGIN)
                    | (zs[..., hyper.top_n - 1] == 0.0)).all(axis=-1)
         if ok.any():
-            net.loss_value(trace, model, hyper, X)  # fills trace.c_recon
-            ok &= (trace.c_recon.min(axis=-1) >= 0.02) & (trace.c_recon.max(axis=-1) <= 1.0 - 1e-3)
+            c_recon = net.loss_value(trace, model, hyper, X).c_recon
+            ok &= (c_recon.min(axis=-1) >= 0.02) & (c_recon.max(axis=-1) <= 1.0 - 1e-3)
         if ok.any():
             j = int(ok.argmax())
             return (net.EndNetModel(w_enc=model.w_enc[j], rho=model.rho[j], w_dec=model.w_dec[j]),
@@ -182,14 +182,14 @@ def check_full_loss(rng, d=None, k=None, n=None, hyper=None):
         # one stacked model whose `name` array carries the replica axis
         stacked = net.EndNetModel(**{**params, name: stack})
         trace = net.forward_batch(stacked, X, hyper, mode="train", dropout_mask=mask)
-        return net.loss_value(trace, stacked, hyper, X)
+        return net.loss_value(trace, stacked, hyper, X).total
 
     trace = net.forward_batch(model, X, hyper, mode="train", dropout_mask=mask)
-    total, grads = net.loss(trace, model, hyper, X)
+    parts, grads = net.loss(trace, model, hyper, X)
     # n=2 batches normalize to +-1 exactly and can leave w_enc so small a
     # gradient that the differences' rounding noise, which grows with the
     # loss, reads as a large relative error; compare against 1% of the loss
-    floor = 1e-2 * abs(total)
+    floor = 1e-2 * abs(parts.total)
     worst = 0.0
     for name, arr in params.items():
         worst = max(worst, rel_error(grads[name], _central_diff(partial(value, name), arr), floor))

@@ -15,6 +15,8 @@ axes (which broadcast against each other) is evaluated and differentiated
 for every replica in one call; a single model has no replica axes.
 Gradient checks use it to evaluate all perturbed parameter sets at once.
 Only the checkpoint format (``save``, ``load``) takes one unstacked model.
+The loss returns its terms and the decoder output as ``LossParts``; no
+function writes into a ``ForwardTrace`` once ``forward_batch`` has made it.
 ``forward_batch`` (its batch) and the loss (its target) convert their
 input; the layers below them take the float64 arrays they are handed.
 """
@@ -217,9 +219,9 @@ def angle_backward(ang, d_c):
     return a.swapaxes(-1, -2) @ ang.a - b.sum(axis=-2)[..., None] * ang.b
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardTrace:
-    """Per-batch intermediates retained for the backward pass."""
+    """Per-batch intermediates retained for the backward pass; read-only once made."""
 
     angle: Angle              # forward input (possibly corrupted) vs w_enc, N x K
     bn_mean: np.ndarray
@@ -232,9 +234,6 @@ class ForwardTrace:
     z_star_sum: np.ndarray    # l1 mass per sample
     y: np.ndarray
     mode: str = "train"
-    # set by the loss: the decoder output and C(target, x_hat) per sample
-    x_hat: np.ndarray | None = None
-    c_recon: np.ndarray | None = None
 
 
 def batchnorm_forward(H, rho, run_stats=None):
@@ -341,25 +340,36 @@ def forward_batch(model, X, hyper, mode="train", dropout_mask=None):
         mode=mode)
 
 
-def loss_value(trace, model, hyper, target):
-    """Composite loss only (no gradients); target is the clean batch.
+class LossParts(NamedTuple):
+    """The composite loss, its four weighted terms and the decoder output.
 
-    A stacked trace or model gives one total per replica.
+    ``total == recon + kl + sparsity + reg``; each term holds one value per
+    replica, a float64 scalar for a single model.
     """
+
+    total: np.ndarray
+    recon: np.ndarray     # euclidean reconstruction term
+    kl: np.ndarray        # KL term on the reconstruction similarity
+    sparsity: np.ndarray  # l1 activation penalty
+    reg: np.ndarray       # the three weight decays
+    x_hat: np.ndarray     # decoder output, N x D
+    c_recon: np.ndarray   # C(target, x_hat) per sample, 0 for a zero reconstruction
+
+
+def loss_value(trace, model, hyper, target):
+    """The loss's ``LossParts`` only (no gradients); target is the clean batch."""
     return _loss_impl(trace, model, hyper, target, want_grads=False)[0]
 
 
 def loss(trace, model, hyper, target):
-    """Composite loss and analytic gradients for w_enc, rho, w_dec.
+    """Composite loss and analytic gradients for w_enc, rho, w_dec: (LossParts, grads).
 
     ``target`` is the uncorrupted batch the reconstruction terms compare
-    against (the forward pass may have seen a corrupted version).  Both
-    this and ``loss_value`` store the decoder output in ``trace.x_hat`` and
-    the per-sample C(target, x_hat) in ``trace.c_recon``.  Gradients need
-    a train-mode trace.  A stacked model or trace gives one total, and one
-    gradient of each array, per replica.  A non-finite loss raises
-    NumericalDivergence; the gradients are not scanned here, the
-    optimizer step (``trainer.adam_step``) scans them once.
+    against (the forward pass may have seen a corrupted version).  Gradients
+    need a train-mode trace.  A stacked model or trace gives one value of
+    each term, and one gradient of each array, per replica.  A non-finite
+    loss raises NumericalDivergence; the gradients are not scanned here,
+    the optimizer step (``trainer.adam_step``) scans them once.
     """
     if trace.mode != "train":
         raise ValueError("loss gradients need a train-mode trace")
@@ -370,7 +380,6 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     X_clean = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n = X_clean.shape[-2]
     x_hat = trace.y @ model.w_dec.swapaxes(-1, -2)
-    trace.x_hat = x_hat
     diff = x_hat - X_clean
 
     # the angular term compares against the clean target; a zero
@@ -378,7 +387,6 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     recon_angle = angle(X_clean, x_hat, THETA_CLIP, paired=True)
     ok = recon_angle.b_norm > 0.0
     c = np.where(ok, recon_angle.similarity, 0.0)
-    trace.c_recon = c
 
     recon = hyper.lambda0 * 0.5 * np.sum(diff * diff, axis=(-2, -1)) / n
     kl = hyper.lambda1 * (np.add.reduce(-np.log(c + EPS), axis=-1) / n)
@@ -389,8 +397,9 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     total = recon + kl + sparsity + reg
     if not np.isfinite(total).all():
         raise NumericalDivergence("loss is non-finite")
+    parts = LossParts(total, recon, kl, sparsity, reg, x_hat, c)
     if not want_grads:
-        return total, None
+        return parts, None
 
     # d total / d x_hat: euclidean term + KL term through the angle chain
     dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + EPS)), 0.0)
@@ -409,4 +418,4 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     d_rho = g_sum + 2.0 * hyper.lambda5 * model.rho
     d_wenc = angle_backward(trace.angle, d_h) + 2.0 * hyper.lambda3 * model.w_enc
 
-    return total, {"w_enc": d_wenc, "rho": d_rho, "w_dec": d_wdec}
+    return parts, {"w_enc": d_wenc, "rho": d_rho, "w_dec": d_wdec}

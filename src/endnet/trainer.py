@@ -186,7 +186,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
             model.run_mean = BN_MOMENTUM * model.run_mean + (1.0 - BN_MOMENTUM) * trace.bn_mean
             model.run_var = BN_MOMENTUM * model.run_var + (1.0 - BN_MOMENTUM) * trace.bn_var
         try:
-            loss_val, grads = loss(trace, model, cfg.hyper, clean)
+            parts, grads = loss(trace, model, cfg.hyper, clean)
             adam_step(flat, np.concatenate([grads[k].reshape(-1) for k in names]),
                       state, cfg.lr, cfg.beta1)
         except NumericalDivergence as exc:
@@ -194,7 +194,7 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
 
         if it == 1 or it % LOG_EVERY == 0 or it == cfg.iters:
             mean_z = float(trace.z.sum(axis=1).mean())
-            mean_sad = float(np.mean(np.pi * (1.0 - trace.c_recon)))
-            log.rows.append((it, float(loss_val), mean_z, mean_sad))
+            mean_sad = float(np.mean(np.pi * (1.0 - parts.c_recon)))
+            log.rows.append((it, float(parts.total), mean_z, mean_sad))
 
     return model, log

@@ -118,7 +118,9 @@ def _with_nan(a, index):
 @pytest.mark.parametrize("unmix", [
     pytest.param(spu_sad, id="spu-sad"),
     pytest.param(lambda x, E: spu_sad(x, E, kernel="l2"), id="spu-l2"),
-    pytest.param(fcls, id="fcls")])
+    pytest.param(fcls, id="fcls"),
+    # one endmember needs no solve, but its inputs are checked as at k >= 2
+    pytest.param(lambda x, E: fcls(x, E[1:2]), id="fcls-k1")])
 @pytest.mark.parametrize("where, match", [("endmember", "^endmembers "), ("pixel", "^pixels? ")])
 def test_unmixing_blames_non_finite_input(unmix, where, match):
     E = _random_endmembers(4, 20, 12)

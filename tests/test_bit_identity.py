@@ -4,6 +4,8 @@ change is held to.
 The seed 0-2 checkpoint hashes are those recorded in CHANGES.md when the
 angle kernel became one einsum reduction per row; a change that moves any
 of these values changes training or the gradients, not only their code.
+The train-log hashes of the same runs were taken before the loss returned
+its parts, so they hold the logged loss and reconstruction angle too.
 The full_loss instance digest holds the gradient check's random instances;
 the search draws its candidates a block at a time, so it also pins the
 block size.
@@ -22,6 +24,12 @@ CHECKPOINT_SHA256 = {
     1: "a6e03c767dbe967b029b34bb0527baf7a77acce02bc5aaab345e430cb40a2c96",
     2: "5075eb753d3fc1bfe2ab3488bbd7c91fae03e8c434e2d92da125c47aa6cab779",
 }
+# SHA-256 of TrainLog.write_csv per seed, for the same runs
+TRAIN_LOG_SHA256 = {
+    0: "9eb8ade3834ee01af7b1fada65026c27109f398e63b3f0847b817be6bec39900",
+    1: "b34a2649f966d638a1b62f2b42673e15d121d130a9de02e0a41a5ba3d240024c",
+    2: "f3253ffc16c886d6e2359f37263531214c3f89f73f6cdde7b5d97212d5d7fd27",
+}
 # worst relative error per layer of run_all(trials=50, seed=0)
 RUN_ALL_50_0 = {
     "sad": 6.1225961520764996e-09,
@@ -38,10 +46,13 @@ def test_reference_checkpoints_and_gradcheck_errors(noisy_scene, tmp_path):
     cube, _, _ = noisy_scene
     init = dmaxd(cube, 4)
     for seed, digest in CHECKPOINT_SHA256.items():
-        model, _ = train(cube, init, TrainConfig(iters=2000, seed=seed))
+        model, log = train(cube, init, TrainConfig(iters=2000, seed=seed))
         path = tmp_path / f"seed{seed}.endn"
         model.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, seed
+        log_path = tmp_path / f"seed{seed}_trainlog.csv"
+        log.write_csv(log_path)
+        assert hashlib.sha256(log_path.read_bytes()).hexdigest() == TRAIN_LOG_SHA256[seed], seed
     results, _ = run_all(50, 0)
     assert results == RUN_ALL_50_0
 

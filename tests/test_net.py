@@ -1,5 +1,7 @@
 """Forward pass, loss, analytic gradients, and the checkpoint format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from endnet import EndNetModel, HyperParams, forward_batch, gradcheck, loss, net
 from endnet.errors import CubeFormatError, NumericalDivergence
 from endnet.gradcheck import (FD_STEP, check_batchnorm, check_full_loss, check_l1norm,
                               check_sad, rel_error)
-from endnet.net import (THETA_CLIP, angle, angle_backward, batchnorm_backward,
-                        batchnorm_forward, l1norm_backward, loss_value,
-                        relu_topn_l1)
+from endnet.net import (THETA_CLIP, Angle, LossParts, angle, angle_backward,
+                        batchnorm_backward, batchnorm_forward, l1norm_backward,
+                        loss_value, relu_topn_l1)
 
 
 # --- similarity layer -------------------------------------------------------
@@ -292,9 +294,8 @@ def test_forward_infer_deterministic():
     a = forward_batch(model, x, hyper, mode="infer")
     b = forward_batch(model, x, hyper, mode="infer")
     np.testing.assert_array_equal(a.y, b.y)
-    loss_value(a, model, hyper, x)
-    loss_value(b, model, hyper, x)
-    np.testing.assert_array_equal(a.x_hat, b.x_hat)
+    np.testing.assert_array_equal(loss_value(a, model, hyper, x).x_hat,
+                                  loss_value(b, model, hyper, x).x_hat)
 
 
 def test_forward_matching_filter_wins():
@@ -322,10 +323,13 @@ def test_forward_xhat_is_decoder_product():
     model = _toy_model(rng)
     X = rng.uniform(0.1, 1.0, (5, 12))
     trace = forward_batch(model, X, HyperParams(), mode="train")
-    # the decoder runs in the loss, not in the forward
-    assert trace.x_hat is None
-    loss_value(trace, model, HyperParams(), X)
-    np.testing.assert_array_equal(trace.x_hat, trace.y @ model.w_dec.T)
+    # the decoder runs in the loss, not in the forward, and the loss
+    # returns its output: nothing writes into the trace
+    assert not hasattr(trace, "x_hat")
+    np.testing.assert_array_equal(loss_value(trace, model, HyperParams(), X).x_hat,
+                                  trace.y @ model.w_dec.T)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.y = trace.y.copy()
 
 
 def test_forward_rejects_zero_sample_and_train_single():
@@ -385,7 +389,7 @@ def test_loss_zero_at_perfect_reconstruction():
                         lambda3=0.0, lambda4=0.0, lambda5=0.0, top_n=2)
     X = np.array([[1.0, 1e-6, 0.0, 0.0], [1e-6, 1.0, 0.0, 0.0]])
     trace = forward_batch(model, X, hyper, mode="train")
-    total = loss_value(trace, model, hyper, X)
+    total = loss_value(trace, model, hyper, X).total
     # the cosine clamp leaves an O(sqrt(theta_clip)) slack in the KL term
     assert total < 5e-3
 
@@ -398,7 +402,7 @@ def test_loss_dead_sample_finite():
     hyper = HyperParams()
     trace = forward_batch(model, x, hyper, mode="infer")
     assert trace.z_star_sum[0] == 0.0
-    total = loss_value(trace, model, hyper, np.atleast_2d(x))
+    total = loss_value(trace, model, hyper, np.atleast_2d(x)).total
     assert np.isfinite(total) and total > 0
 
 
@@ -460,7 +464,7 @@ def test_loss_gradients_need_a_train_trace():
     trace = forward_batch(model, X, hyper, mode="infer")
     with pytest.raises(ValueError, match="train-mode"):
         loss(trace, model, hyper, X)
-    assert np.isfinite(loss_value(trace, model, hyper, X))
+    assert np.isfinite(loss_value(trace, model, hyper, X).total)
 
 
 # --- replica axis and the stacked finite differences -------------------------
@@ -470,42 +474,65 @@ def _model_with(model, name, arr):
                        run_mean=model.run_mean, run_var=model.run_var)
 
 
+def _trace_arrays(trace):
+    """Every array a ForwardTrace holds, its angle's included, by name."""
+    arrays = {f"angle.{f}": getattr(trace.angle, f) for f in Angle._fields if f != "paired"}
+    arrays.update((f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)
+                  if f.name not in ("angle", "mode"))
+    return arrays
+
+
 @pytest.mark.parametrize("mode", ["train", "infer"])
 @pytest.mark.parametrize("r", [1, 3])
 def test_stacked_forward_and_loss_match_solo_calls(mode, r):
-    """One stacked call equals r solo calls bit for bit: values, trace and gradients."""
+    """One stacked call equals r solo calls bit for bit: the trace, every
+    LossParts field and the gradients.
+
+    The replica axis is on one parameter array, first with one shared batch,
+    then with the batch, the target and the dropout mask stacked as
+    (r, N, .) too: each replica's own corrupted batch against its own clean one.
+    """
     rng = np.random.default_rng(19)
     model = _toy_model(rng)
     n, k = 5, model.k
     X = rng.uniform(0.1, 1.0, (n, 12))
-    pinned = (rng.random((n, k)) < 0.5) / 0.5
-    for hyper, mask in ((HyperParams(), None),
-                        (HyperParams(top_n=k), None),
-                        (HyperParams(dropout_p=0.5), pinned)):
-        for name, arr in model.params().items():
-            stack = arr + rng.normal(0.0, 0.05, (r,) + arr.shape)
-            stacked = _model_with(model, name, stack)
-            trace = forward_batch(stacked, X, hyper, mode=mode, dropout_mask=mask)
-            totals = loss_value(trace, stacked, hyper, X)
-            assert stacked.replicas == (r,) and totals.shape == (r,)
-            if mode == "train":
-                grad_totals, grads = loss(trace, stacked, hyper, X)
-                np.testing.assert_array_equal(grad_totals, totals)
-            for i in range(r):
-                solo = _model_with(model, name, stack[i])
-                t = forward_batch(solo, X, hyper, mode=mode, dropout_mask=mask)
-                assert loss_value(t, solo, hyper, X) == totals[i]
-                pairs = [(trace.angle.similarity, t.angle.similarity)] + [
-                    (getattr(trace, f), getattr(t, f))
-                    for f in ("bn_out", "z", "z_star", "y", "x_hat", "c_recon")]
-                for stacked_field, solo_field in pairs:
-                    np.testing.assert_array_equal(
-                        np.broadcast_to(stacked_field, (r,) + solo_field.shape)[i], solo_field)
+    clean = X + rng.uniform(0.0, 0.1, (r, n, 12))
+    batches = ((X, X, (rng.random((n, k)) < 0.5) / 0.5),
+               (clean + rng.normal(0.0, 0.02, clean.shape), clean,
+                (rng.random((r, n, k)) < 0.5) / 0.5))
+    for hyper in (HyperParams(), HyperParams(top_n=k), HyperParams(dropout_p=0.5)):
+        for batch, target, pinned in batches:
+            mask = pinned if hyper.dropout_p < 1.0 else None
+            for name, arr in model.params().items():
+                stack = arr + rng.normal(0.0, 0.05, (r,) + arr.shape)
+                stacked = _model_with(model, name, stack)
+                trace = forward_batch(stacked, batch, hyper, mode=mode, dropout_mask=mask)
+                parts = loss_value(trace, stacked, hyper, target)
+                assert stacked.replicas == (r,) and parts.total.shape == (r,)
                 if mode == "train":
-                    _, solo_grads = loss(t, solo, hyper, X)
-                    for g, solo_grad in solo_grads.items():
-                        assert grads[g].shape == (r,) + solo_grad.shape
-                        assert np.array_equal(grads[g][i], solo_grad), (name, g, i)
+                    grad_parts, grads = loss(trace, stacked, hyper, target)
+                    for f in LossParts._fields:
+                        np.testing.assert_array_equal(getattr(grad_parts, f), getattr(parts, f))
+                for i in range(r):
+                    solo = _model_with(model, name, stack[i])
+
+                    def own(a):
+                        return a if a is None or a.ndim == 2 else a[i]
+
+                    t = forward_batch(solo, own(batch), hyper, mode=mode, dropout_mask=own(mask))
+                    solo_parts = loss_value(t, solo, hyper, own(target))
+                    stacked_trace, solo_trace = _trace_arrays(trace), _trace_arrays(t)
+                    pairs = [(stacked_trace[f], solo_trace[f]) for f in solo_trace]
+                    pairs += list(zip(parts, solo_parts))
+                    for stacked_field, solo_field in pairs:
+                        np.testing.assert_array_equal(
+                            np.broadcast_to(stacked_field, (r,) + np.shape(solo_field))[i],
+                            solo_field)
+                    if mode == "train":
+                        _, solo_grads = loss(t, solo, hyper, own(target))
+                        for g, solo_grad in solo_grads.items():
+                            assert grads[g].shape == (r,) + solo_grad.shape
+                            assert np.array_equal(grads[g][i], solo_grad), (name, g, i)
 
 
 def test_stacked_model_has_no_checkpoint_and_replica_axes_must_broadcast(tmp_path):
@@ -559,11 +586,11 @@ def test_check_full_loss_one_stacked_call_per_array(monkeypatch):
 def _clears_every_screen(model, X, mask, hyper):
     """The search's screens, recomputed on one instance through its own forward pass."""
     trace = forward_batch(model, X, hyper, mode="train", dropout_mask=mask)
-    loss_value(trace, model, hyper, X)
+    c_recon = loss_value(trace, model, hyper, X).c_recon
     ok = (np.abs(trace.bn_out).min() >= gradcheck.KINK_MARGIN
           and np.abs(trace.angle.theta).max() <= 1.0 - 1e-3
           and trace.z_star_sum.min() >= 1e-3
-          and 0.02 <= trace.c_recon.min() and trace.c_recon.max() <= 1.0 - 1e-3)
+          and 0.02 <= c_recon.min() and c_recon.max() <= 1.0 - 1e-3)
     if hyper.top_n < model.k:
         # a tie at the n-th place is a kink only among positive entries
         zs = -np.sort(-trace.z, axis=1)
@@ -625,8 +652,8 @@ def test_check_full_loss_floors_at_the_loss_scale(monkeypatch):
     real_loss = net.loss
 
     def half_the_w_enc_decay(trace, model, hyper, X):
-        total, grads = real_loss(trace, model, hyper, X)
-        return total, {**grads, "w_enc": grads["w_enc"] - hyper.lambda3 * model.w_enc}
+        parts, grads = real_loss(trace, model, hyper, X)
+        return parts, {**grads, "w_enc": grads["w_enc"] - hyper.lambda3 * model.w_enc}
 
     monkeypatch.setattr(net, "loss", half_the_w_enc_decay)
     assert check_full_loss(np.random.default_rng(0), d=11, k=6, n=2) > gradcheck.DEFAULT_TOL

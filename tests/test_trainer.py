@@ -250,20 +250,21 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
         return real_forward(model, X, *args, **kwargs)
 
     def loss_spy(trace, model, hyper, target):
-        seen.append((trace, np.array(target)))
-        return real_loss(trace, model, hyper, target)
+        parts, grads = real_loss(trace, model, hyper, target)
+        seen.append((parts, np.array(target)))
+        return parts, grads
 
     monkeypatch.setattr(trainer, "forward_batch", forward_spy)
     monkeypatch.setattr(trainer, "loss", loss_spy)
     _, log = train(cube, small_init, TrainConfig(iters=1, seed=0, corrupt_sigma=0.5))
-    noisy, (trace, clean) = seen
+    noisy, (parts, clean) = seen
     assert not np.array_equal(noisy, clean)
 
-    live = np.linalg.norm(trace.x_hat, axis=1) > 0.0
+    live = np.linalg.norm(parts.x_hat, axis=1) > 0.0
 
     def mean_angle(X):
         # a dead (all-zero) reconstruction has similarity 0, i.e. angle pi
-        x, x_hat = X[live], trace.x_hat[live]
+        x, x_hat = X[live], parts.x_hat[live]
         cos = np.einsum("ij,ij->i", x, x_hat) / (
             np.linalg.norm(x, axis=1) * np.linalg.norm(x_hat, axis=1))
         s = np.arccos(np.clip(cos, -1.0 + 1e-7, 1.0 - 1e-7))
@@ -366,6 +367,57 @@ def _ref_corrupt(x, mask_frac, sigma, rng):
     return out
 
 
+def _reference_step(params, noisy, clean, r, hp):
+    """One forward, loss and backward of ``train``'s step on one model.
+
+    ``r`` is the dropout mask, all ones without dropout.  Returns a dict:
+    the batch statistics ``mean`` and ``var``, the gated activations ``z``,
+    the loss ``total`` and its terms ``recon``, ``kl``, ``sparsity`` and
+    ``reg``, the decoder output ``x_hat``, the per-sample similarity
+    ``c_recon`` and the ``grads``.
+    """
+    w_enc, rho, w_dec = params["w_enc"], params["rho"], params["w_dec"]
+    n = len(clean)
+    # forward
+    enc = _ref_angle(noisy, w_enc, net.THETA_CLIP)
+    h = 1.0 - enc.s / np.pi
+    mean, var = h.mean(axis=0), h.var(axis=0)
+    centered = (h - mean) / np.sqrt(var + net.EPS)
+    bn_out = centered + rho
+    z = r * (bn_out * (bn_out > 0.0))
+    mask = np.ones_like(z, dtype=bool)
+    if hp.top_n < z.shape[1]:
+        mask[:] = False
+        order = np.argsort(-z, axis=1, kind="stable")
+        np.put_along_axis(mask, order[:, :hp.top_n], True, axis=1)
+    z_star = z * mask
+    y = z_star / (z_star.sum(axis=1) + net.EPS)[:, None]
+    # loss
+    x_hat = y @ w_dec.T
+    diff = x_hat - clean
+    rec = _ref_angle(clean, x_hat, net.THETA_CLIP, paired=True)
+    ok = rec.b_norm > 0.0
+    c = np.where(ok, 1.0 - rec.s / np.pi, 0.0)
+    recon = hp.lambda0 * 0.5 * np.sum(diff * diff) / n
+    kl = hp.lambda1 * np.mean(-np.log(c + net.EPS))
+    sparsity = hp.lambda2 * np.mean(z.sum(axis=1))
+    reg = (hp.lambda3 * np.sum(w_enc ** 2) + hp.lambda4 * np.sum(w_dec ** 2)
+           + hp.lambda5 * np.sum(rho ** 2))
+    # backward
+    dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + net.EPS)), 0.0)
+    d_xhat = hp.lambda0 * diff / n + net.angle_backward(rec, dkl_dc)
+    d_y = d_xhat @ w_dec
+    dz = net.l1norm_backward(d_y, z_star, y) + (hp.lambda2 / n) * (z > 0.0)
+    d_bn = dz * r * (bn_out > 0.0)
+    d_h, g_sum = net.batchnorm_backward(d_bn, var, centered)
+    grads = {"w_enc": net.angle_backward(enc, d_h) + 2.0 * hp.lambda3 * w_enc,
+             "rho": g_sum + 2.0 * hp.lambda5 * rho,
+             "w_dec": d_xhat.T @ y + 2.0 * hp.lambda4 * w_dec}
+    return {"mean": mean, "var": var, "z": z, "total": recon + kl + sparsity + reg,
+            "recon": recon, "kl": kl, "sparsity": sparsity, "reg": reg,
+            "x_hat": x_hat, "c_recon": c, "grads": grads}
+
+
 def _reference_train(cube, init, cfg):
     """``train`` written with the plain NumPy forms of every step.
 
@@ -383,56 +435,22 @@ def _reference_train(cube, init, cfg):
     sigma = 0.1 * float(pixels.std()) if cfg.corrupt_sigma is None else cfg.corrupt_sigma
     rows = []
     for it in range(1, cfg.iters + 1):
-        w_enc, rho, w_dec = params["w_enc"], params["rho"], params["w_dec"]
         clean = pixels[rng.integers(0, len(pixels), size=cfg.batch_size)]
         noisy = _ref_corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
-        n = len(clean)
-        # forward
-        enc = _ref_angle(noisy, w_enc, net.THETA_CLIP)
-        h = 1.0 - enc.s / np.pi
-        mean, var = h.mean(axis=0), h.var(axis=0)
-        centered = (h - mean) / np.sqrt(var + net.EPS)
-        bn_out = centered + rho
         if hp.dropout_p < 1.0:
-            r = (rng.random(bn_out.shape) < hp.dropout_p) / hp.dropout_p
+            r = (rng.random((len(clean), len(e))) < hp.dropout_p) / hp.dropout_p
         else:
-            r = np.ones_like(bn_out)
-        z = r * (bn_out * (bn_out > 0.0))
-        mask = np.ones_like(z, dtype=bool)
-        if hp.top_n < z.shape[1]:
-            mask[:] = False
-            order = np.argsort(-z, axis=1, kind="stable")
-            np.put_along_axis(mask, order[:, :hp.top_n], True, axis=1)
-        z_star = z * mask
-        y = z_star / (z_star.sum(axis=1) + net.EPS)[:, None]
+            r = np.ones((len(clean), len(e)))
+        step = _reference_step(params, noisy, clean, r, hp)
+        mean, var = step["mean"], step["var"]
         if run_mean is None:
             run_mean, run_var = mean.copy(), var.copy()
         else:
             run_mean = trainer.BN_MOMENTUM * run_mean + (1.0 - trainer.BN_MOMENTUM) * mean
             run_var = trainer.BN_MOMENTUM * run_var + (1.0 - trainer.BN_MOMENTUM) * var
-        # loss
-        x_hat = y @ w_dec.T
-        diff = x_hat - clean
-        rec = _ref_angle(clean, x_hat, net.THETA_CLIP, paired=True)
-        ok = rec.b_norm > 0.0
-        c = np.where(ok, 1.0 - rec.s / np.pi, 0.0)
-        reg = (hp.lambda3 * np.sum(w_enc ** 2) + hp.lambda4 * np.sum(w_dec ** 2)
-               + hp.lambda5 * np.sum(rho ** 2))
-        total = (hp.lambda0 * 0.5 * np.sum(diff * diff) / n
-                 + hp.lambda1 * np.mean(-np.log(c + net.EPS))
-                 + hp.lambda2 * np.mean(z.sum(axis=1)) + reg)
-        dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + net.EPS)), 0.0)
-        d_xhat = hp.lambda0 * diff / n + net.angle_backward(rec, dkl_dc)
-        d_y = d_xhat @ w_dec
-        dz = net.l1norm_backward(d_y, z_star, y) + (hp.lambda2 / n) * (z > 0.0)
-        d_bn = dz * r * (bn_out > 0.0)
-        d_h, g_sum = net.batchnorm_backward(d_bn, var, centered)
-        grads = {"w_enc": net.angle_backward(enc, d_h) + 2.0 * hp.lambda3 * w_enc,
-                 "rho": g_sum + 2.0 * hp.lambda5 * rho,
-                 "w_dec": d_xhat.T @ y + 2.0 * hp.lambda4 * w_dec}
         # Adam
         for name, p in params.items():
-            g = grads[name]
+            g = step["grads"][name]
             adam_m[name] = cfg.beta1 * adam_m[name] + (1.0 - cfg.beta1) * g
             adam_v[name] = (trainer.ADAM_BETA2 * adam_v[name]
                             + (1.0 - trainer.ADAM_BETA2) * g * g)
@@ -440,8 +458,8 @@ def _reference_train(cube, init, cfg):
             v_hat = adam_v[name] / (1.0 - trainer.ADAM_BETA2 ** it)
             p -= cfg.lr * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
         if it == 1 or it % trainer.LOG_EVERY == 0 or it == cfg.iters:
-            rows.append((float(total), float(z.sum(axis=1).mean()),
-                         float(np.mean(np.pi * (1.0 - c)))))
+            rows.append((float(step["total"]), float(step["z"].sum(axis=1).mean()),
+                         float(np.mean(np.pi * (1.0 - step["c_recon"])))))
     model = EndNetModel(params["w_enc"], params["rho"], params["w_dec"], run_mean, run_var)
     return model, rows
 
@@ -461,3 +479,29 @@ def test_train_bit_identical_to_the_reference_step(small_scene, small_init, tmp_
     ref.save(tmp_path / "ref.endn")
     assert (tmp_path / "train.endn").read_bytes() == (tmp_path / "ref.endn").read_bytes()
     assert [row[1:] for row in log.rows] == rows
+
+
+@pytest.mark.parametrize("replicas", [(), (3,)], ids=["single", "stacked"])
+def test_loss_parts_are_the_reference_terms(small_scene, small_init, replicas):
+    """Each LossParts field is the reference step's, bit for bit, per replica,
+    and the total is exactly recon + kl + sparsity + reg."""
+    cube, _, _ = small_scene
+    rng = np.random.default_rng(23)
+    hp = HyperParams(dropout_p=0.5)
+    e = small_init.endmembers.rows
+    k, d = e.shape
+    clean = cube.data[rng.integers(0, cube.data.shape[0], size=40)]
+    noisy = corrupt(clean, 0.4, 0.05, rng)
+    r = net.dropout_mask(rng, (40, k), hp.dropout_p)
+    params = {"w_enc": e + rng.normal(0.0, 0.01, replicas + (k, d)),
+              "rho": rng.normal(0.0, 0.1, replicas + (k,)),
+              "w_dec": e.T + rng.normal(0.0, 0.01, replicas + (d, k))}
+    model = EndNetModel(**params)
+    trace = net.forward_batch(model, noisy, hp, mode="train", dropout_mask=r)
+    parts, _ = net.loss(trace, model, hp, clean)
+    assert parts.total.shape == replicas
+    assert np.array_equal(parts.total, parts.recon + parts.kl + parts.sparsity + parts.reg)
+    for i in np.ndindex(replicas):
+        ref = _reference_step({name: p[i] for name, p in params.items()}, noisy, clean, r, hp)
+        for f in net.LossParts._fields:
+            assert np.array_equal(getattr(parts, f)[i], ref[f]), (f, i)
