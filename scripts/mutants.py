@@ -130,7 +130,7 @@ MUTATIONS = [
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
     Mutation("zero-norm spectra load", "endnet/data_io.py",
              "    if not sq_norms.all():\n"
-             '        raise CubeFormatError(f"zero-norm spectrum in {what}")\n', "",
+             '        raise error(f"zero-norm spectrum in {what}")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
     Mutation("checkpoint skips the zero-norm half", "endnet/data_io.py",
              "    if not sq_norms.all():\n",
@@ -142,7 +142,7 @@ MUTATIONS = [
              ("tests/test_cli.py::test_abundances_rejects_an_unsound_checkpoint",)),
     Mutation("spectra squared norms may overflow", "endnet/data_io.py",
              "    if not np.isfinite(sq_norms).all():\n"
-             '        raise CubeFormatError(f"squared norms overflow in {what}")\n', "",
+             '        raise error(f"squared norms overflow in {what}")\n', "",
              ("tests/test_cli.py::test_eval_unreadable_csv_is_an_io_error",)),
     Mutation("spectra CSV skips the angle check", "endnet/data_io.py",
              '    _check_angle_rows(spectra.rows, f"spectra CSV {path}")\n', "",
@@ -165,14 +165,45 @@ MUTATIONS = [
              "LossParts(total, recon, kl, sparsity, reg, x_hat, c)",
              "LossParts(total, recon, sparsity, kl, reg, x_hat, c)",
              ("tests/test_trainer.py::test_loss_parts_are_the_reference_terms",)),
-    Mutation("fcls with one endmember skips the finite checks", "endnet/abundance.py",
-             "        if not np.isfinite(E).all():\n"
-             '            raise NonFiniteValue("endmembers contain NaN/Inf values")\n'
+    Mutation("fcls with one endmember skips the pixel check", "endnet/abundance.py",
              "        if not np.isfinite(x).all():\n"
              '            raise NonFiniteValue("pixel contains NaN/Inf values")\n'
              "        return np.array([1.0])\n",
              "        return np.array([1.0])\n",
              ("tests/test_abundance.py::test_unmixing_blames_non_finite_input",)),
+    Mutation("the endmember verdict skips the NaN/Inf check", "endnet/abundance.py",
+             "    if not np.isfinite(E).all():\n"
+             '        raise NonFiniteValue(f"{what} contain NaN/Inf values")\n', "",
+             ("tests/test_verdicts.py::test_every_route_gives_one_fault_one_error_class",)),
+    Mutation("SPU skips the endmember verdict", "endnet/abundance.py",
+             "    _check_endmembers(spectra)\n", "",
+             ("tests/test_verdicts.py::test_every_route_gives_one_fault_one_error_class",)),
+    Mutation("the FCLS set build skips the endmember verdict", "endnet/abundance.py",
+             "        _check_endmembers(E)\n", "",
+             ("tests/test_abundance.py::test_unmixing_blames_non_finite_input",)),
+    Mutation("hidden skips the encoder-filter verdict", "endnet/abundance.py",
+             '    _check_endmembers(model.w_enc, "encoder filters")\n', "",
+             ("tests/test_abundance.py::"
+              "test_hidden_abundances_gives_bad_filters_the_endmember_verdict",)),
+    Mutation("fcls with one endmember answers before the set build", "endnet/abundance.py",
+             "    es = _endmember_set(E.shape, E.dtype, E.tobytes())\n"
+             "    if k == 1:\n",
+             "    if k == 1:\n"
+             "        if not np.isfinite(x).all():\n"
+             '            raise NonFiniteValue("pixel contains NaN/Inf values")\n'
+             "        return np.array([1.0])\n"
+             "    es = _endmember_set(E.shape, E.dtype, E.tobytes())\n"
+             "    if k == 1:\n",
+             ("tests/test_abundance.py::test_fcls_k1_between_larger_sets",)),
+    Mutation("fcls divides by a zero kept mass", "endnet/abundance.py",
+             "        if not 0.0 < total < math.inf:\n", "        if not math.isfinite(total):\n",
+             ("tests/test_abundance.py::"
+              "test_fcls_raises_when_a_pixel_far_off_scale_loses_the_sum_to_one_row",)),
+    Mutation("fcls solves an empty active set", "endnet/abundance.py",
+             "            if not free:\n"
+             '                _lost_sum_to_one(x, "every variable was clamped")\n', "",
+             ("tests/test_abundance.py::"
+              "test_fcls_raises_when_a_pixel_far_off_scale_loses_the_sum_to_one_row",)),
 ]
 
 

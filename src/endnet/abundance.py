@@ -3,6 +3,11 @@
 Three routes: simplex projection in a similarity-induced feature space
 (default, angle kernel), the encoder's hidden activations, and a fully
 constrained least-squares solver used as an independent oracle.
+
+Every route first calls ``_check_endmembers`` on its endmembers (the
+hidden route on its encoder filters), then adds its own geometric rule:
+two endmembers and no angular coincidence or ill-conditioned facet for
+SPU, linear independence for FCLS.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from .data_io import _check_angle_rows
 from .datatypes import AbundanceMap, HyperCube, SpectraMatrix
 from .errors import DegenerateSimplex, NonFiniteValue
 from .net import THETA_CLIP, HyperParams, angle, forward_batch
@@ -23,15 +29,26 @@ log = logging.getLogger(__name__)
 _NEG_TOL = -1e-10
 
 
+def _check_endmembers(E, what="endmembers"):
+    """The verdict every unmixing route gives its K x D matrix, once per call.
+
+    A NaN/Inf entry raises NonFiniteValue; a row whose squared norm is zero
+    or overflows float64 raises DegenerateSimplex, under the rule that
+    spectra files and checkpoints are read with.
+    """
+    if not np.isfinite(E).all():
+        raise NonFiniteValue(f"{what} contain NaN/Inf values")
+    _check_angle_rows(E, what, DegenerateSimplex)
+
+
 def _pairwise_d2(spectra, pixels, kernel):
     """Squared feature-space distances: K x K among endmembers, N x K to the pixels.
 
-    Non-finite endmembers raise NonFiniteValue.  With ``kernel='sad'``,
-    angularly coincident endmembers raise DegenerateSimplex: they collapse
-    the feature-space simplex.
+    The endmembers get the verdict of ``_check_endmembers`` under either
+    kernel.  With ``kernel='sad'``, angularly coincident endmembers raise
+    DegenerateSimplex: they collapse the feature-space simplex.
     """
-    if not np.isfinite(spectra).all():
-        raise NonFiniteValue("endmembers contain NaN/Inf values")
+    _check_endmembers(spectra)
     if kernel == "sad":
         # SPU clamps cosines as training does
         ee = angle(spectra, spectra, THETA_CLIP)
@@ -135,13 +152,12 @@ class _EndmemberSet:
 
     Holds the Gram matrix E E^T and, filled as the active-set iteration
     first reaches each free set, that set's KKT system.  Constructing one
-    raises NonFiniteValue on non-finite endmembers and DegenerateSimplex on
-    linearly dependent ones.
+    gives the endmembers the verdict of ``_check_endmembers`` and raises
+    DegenerateSimplex on linearly dependent ones.
     """
 
     def __init__(self, E):
-        if not np.isfinite(E).all():
-            raise NonFiniteValue("endmembers contain NaN/Inf values")
+        _check_endmembers(E)
         if np.linalg.matrix_rank(E) < E.shape[0]:
             raise DegenerateSimplex("endmembers are linearly dependent")
         self.k = E.shape[0]
@@ -179,22 +195,24 @@ def fcls(pixel, endmembers):
     """Fully constrained least squares: min ||x - E^T a||^2, a >= 0, sum a = 1.
 
     Active-set iteration on the KKT system of the convex problem; returns
-    the global optimum.  The rank check, the Gram matrix and the KKT
-    matrix of each free set depend only on the endmembers: they are kept
-    for the last endmember matrix seen, so a run of pixels unmixed against
-    one matrix pays them once, and a pixel pays ``E @ x`` and its solves.
+    the global optimum.  The endmembers' verdict, the rank check, the Gram
+    matrix and the KKT matrix of each free set depend only on the
+    endmembers: they are kept for the last endmember matrix seen, so a run
+    of pixels unmixed against one matrix pays them once, and a pixel pays
+    ``E @ x`` and its solves.  One endmember admits only a = [1].  A NaN/Inf
+    pixel raises NonFiniteValue; a finite pixel so far off the endmembers'
+    scale that the solves lose the sum-to-one row raises RuntimeError, as
+    the ``4k + 8`` iteration cap does.
     """
     E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else np.atleast_2d(endmembers)
     k, _ = E.shape
     x = np.asarray(pixel, dtype=np.float64)
+    es = _endmember_set(E.shape, E.dtype, E.tobytes())
     if k == 1:
-        # one endmember admits only a = [1]; the inputs must still be finite
-        if not np.isfinite(E).all():
-            raise NonFiniteValue("endmembers contain NaN/Inf values")
+        # no solve, which far off the endmembers' scale can give [nan]
         if not np.isfinite(x).all():
             raise NonFiniteValue("pixel contains NaN/Inf values")
         return np.array([1.0])
-    es = _endmember_set(E.shape, E.dtype, E.tobytes())
     gram = es.gram
     ex = E @ x
     b = np.empty(k + 1)  # [2 E x, 1]: every free set's right-hand side is a pick of its rows
@@ -213,6 +231,8 @@ def fcls(pixel, endmembers):
         j = int(a_free.argmin())
         if a_free[j] < -1e-12:
             free &= ~(1 << int(idx[j]))
+            if not free:
+                _lost_sum_to_one(x, "every variable was clamped")
             continue
         a = np.zeros(k)
         a[idx] = np.maximum(a_free, 0.0)
@@ -224,12 +244,19 @@ def fcls(pixel, endmembers):
                 free |= 1 << int(clamped[j])
                 continue
         total = a.sum()
-        if not math.isfinite(total):
-            # with finite endmembers, only a non-finite pixel gets here
-            raise NonFiniteValue("pixel contains NaN/Inf values")
+        if not 0.0 < total < math.inf:
+            _lost_sum_to_one(x, f"the kept abundances sum to {total}")
         a /= total
         return a
     raise RuntimeError("fcls active-set iteration did not converge")
+
+
+def _lost_sum_to_one(x, how):
+    """Raise for an fcls iteration whose solves lost the sum-to-one row: blame a
+    NaN/Inf pixel, else a finite one too far off the endmembers' scale."""
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("pixel contains NaN/Inf values")
+    raise RuntimeError(f"fcls lost the sum-to-one row: {how}")
 
 
 def hidden_abundances(model, cube: HyperCube):
@@ -237,8 +264,9 @@ def hidden_abundances(model, cube: HyperCube):
 
     A checkpoint stores no HyperParams, so the defaults apply.  All-zero
     activation vectors fall back to uniform 1/K; the occurrence count is
-    logged.
+    logged.  The encoder filters get the verdict of ``_check_endmembers``.
     """
+    _check_endmembers(model.w_enc, "encoder filters")
     trace = forward_batch(model, cube.data, HyperParams(), mode="infer")
     y = trace.y.copy()
     dead = trace.z_star_sum <= 0.0

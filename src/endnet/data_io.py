@@ -280,14 +280,14 @@ def save_spectra_csv(spectra: SpectraMatrix, path):
     write_file(path, _csv_text(spectra.rows.tolist(), "%.17g"))
 
 
-def _check_angle_rows(rows, what):
-    """Raise CubeFormatError naming ``what`` unless every row of ``rows`` has the
+def _check_angle_rows(rows, what, error=CubeFormatError):
+    """Raise ``error`` naming ``what`` unless every row of ``rows`` has the
     finite, nonzero squared norm that ``net.angle`` takes."""
     sq_norms = np.einsum("ij,ij->i", rows, rows)
     if not np.isfinite(sq_norms).all():
-        raise CubeFormatError(f"squared norms overflow in {what}")
+        raise error(f"squared norms overflow in {what}")
     if not sq_norms.all():
-        raise CubeFormatError(f"zero-norm spectrum in {what}")
+        raise error(f"zero-norm spectrum in {what}")
 
 
 def load_spectra_csv(path):

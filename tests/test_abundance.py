@@ -65,9 +65,11 @@ def test_spu_k2_midpoint():
 
 def test_spu_drops_the_most_negative_vertex_first():
     # obtuse triangle: the pixel's coordinates are (-0.67, -4.17, 5.83);
-    # dropping vertex 0, the first negative one, would end on vertex 2
-    E = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.3]])
-    np.testing.assert_allclose(spu_sad(np.array([-3.0, 1.75]), E, kernel="l2"),
+    # dropping vertex 0, the first negative one, would end on vertex 2.
+    # Moved off the origin by (1, 1): a zero endmember has no angle, and
+    # both kernels reject it
+    E = np.array([[1.0, 1.0], [2.0, 1.0], [1.2, 1.3]])
+    np.testing.assert_allclose(spu_sad(np.array([-2.0, 2.75]), E, kernel="l2"),
                                [1, 0, 0], atol=1e-12)
 
 
@@ -349,12 +351,15 @@ def test_fcls_keeps_float32_and_float64_endmembers_apart():
 
 
 def test_fcls_k1_between_larger_sets():
-    # one endmember admits only a = [1]: no rank check, not even of a zero row
+    # one endmember admits only a = [1], once it has passed the verdict of
+    # every endmember set: a zero row raises, as it does at k >= 2
     E = _random_endmembers(4, 12, 15)
     x = E.mean(axis=0)
     first = fcls(x, E)
-    for single in (E[:1], np.zeros((1, 12))):
-        assert np.array_equal(fcls(x, single), [1.0])
+    assert np.array_equal(fcls(x, E[:1]), [1.0])
+    for _ in range(2):  # a rejected endmember matrix is not remembered
+        with pytest.raises(DegenerateSimplex, match="^zero-norm spectrum in endmembers$"):
+            fcls(x, np.zeros((1, 12)))
     assert np.array_equal(fcls(x, E), first)
 
 
@@ -380,6 +385,24 @@ def test_fcls_raises_after_4k_plus_8_active_set_steps(monkeypatch):
     with pytest.raises(RuntimeError, match="did not converge"):
         fcls(E.mean(axis=0), E)
     assert sizes == [k, k - 1] * (2 * k + 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, match", [
+    pytest.param(1e17 * np.array([1.0, -1.0, 0.5]), "sum to 0", id="zero-mass"),
+    pytest.param(1e18 * np.array([2.1, 2.8, 2.3]), "every variable", id="all-clamped")])
+def test_fcls_raises_when_a_pixel_far_off_scale_loses_the_sum_to_one_row(x, match):
+    # so far off the endmembers' scale, the solves lose the sum-to-one row:
+    # the kept abundances sum to 0, or every variable is clamped
+    E = np.array([[1.0, 0.5, 0.25], [0.25, 0.5, 1.0]])
+    with pytest.raises(RuntimeError, match=f"^fcls lost the sum-to-one row: .*{match}"):
+        fcls(x, E)
+    # the same scale with a NaN or Inf band still blames the pixel
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[1] = bad
+        with pytest.raises(NonFiniteValue, match="^pixel "):
+            fcls(y, E)
 
 
 def test_spu_l2_matches_fcls_in_simplex():
@@ -488,6 +511,34 @@ def test_hidden_abundances_invariants(small_scene):
     assert np.all((sums == 0.0) | (np.abs(sums - 1.0) < 1e-6))
     again = hidden_abundances(model, cube)
     np.testing.assert_array_equal(amap.values, again.values)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault, error, match", [
+    ("nan", NonFiniteValue, "^encoder filters contain NaN/Inf values$"),
+    ("inf", NonFiniteValue, "^encoder filters contain NaN/Inf values$"),
+    ("-inf", NonFiniteValue, "^encoder filters contain NaN/Inf values$"),
+    ("zero", DegenerateSimplex, "^zero-norm spectrum in encoder filters$"),
+    ("1e160", DegenerateSimplex, "^squared norms overflow in encoder filters$")],
+    ids=["nan", "inf", "-inf", "zero", "1e160"])
+def test_hidden_abundances_gives_bad_filters_the_endmember_verdict(fault, error, match):
+    # the verdict SPU and FCLS give the same row as an endmember; at 1e160
+    # the filter's direction is sound, but its squared norm overflows
+    model, E = _toy_model(k=3, d=10)
+    cube = HyperCube(1, 4, 10, np.random.default_rng(3).dirichlet(np.ones(3), 4) @ E)
+    w_enc = model.w_enc.copy()
+    if fault == "zero":
+        w_enc[1] = 0.0
+    elif fault == "1e160":
+        w_enc[1] *= 1e160
+    else:
+        w_enc[1, 4] = float(fault)
+    bad = EndNetModel(w_enc, model.rho, model.w_dec, model.run_mean, model.run_var)
+    with pytest.raises(error, match=match):
+        hidden_abundances(bad, cube)
+    for unmix in (spu_sad, lambda X, E: spu_sad(X, E, kernel="l2"), lambda X, E: fcls(X[0], E)):
+        with pytest.raises(error, match=match.replace("encoder filters", "endmembers")):
+            unmix(cube.data, w_enc)
 
 
 def test_hidden_dead_pixel_uniform(caplog):

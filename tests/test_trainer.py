@@ -300,6 +300,57 @@ def test_train_keeps_the_first_batch_statistics_then_their_momentum_average(
     assert np.array_equal(model.run_var, m * first.bn_var + (1.0 - m) * second.bn_var)
 
 
+@pytest.mark.parametrize("hyper", [{}, {"dropout_p": 0.5}], ids=["default", "dropout"])
+def test_three_seeds_in_lockstep_train_as_three_solo_runs(small_scene, small_init, hyper):
+    """Seeds 0-2 stacked on the replica axis, each with its own generator
+    drawing in solo order, train bit for bit as three solo ``train`` runs:
+    corruption, one stacked forward and loss, Adam on one (R, P) array and
+    the running statistics, for three iterations."""
+    cube, _, _ = small_scene
+    seeds = (0, 1, 2)
+    cfg = TrainConfig(iters=3, hyper=HyperParams(**hyper))
+    e = small_init.endmembers.rows
+    r_count, k = len(seeds), e.shape[0]
+    model = EndNetModel(np.stack([e] * r_count), np.zeros((r_count, k)),
+                        np.stack([e.T] * r_count))
+    params = model.params()
+    flat = np.concatenate([p.reshape(r_count, -1) for p in params.values()], axis=1)
+    start = 0
+    for name, p in params.items():  # each array a view of its columns of flat
+        size = p[0].size
+        setattr(model, name, flat[:, start:start + size].reshape(p.shape))
+        assert np.shares_memory(getattr(model, name), flat)
+        start += size
+    state = AdamState(flat)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sigma = 0.1 * trainer._noise_scale(cube.data)
+
+    for it in range(1, cfg.iters + 1):
+        clean, noisy, masks = [], [], []
+        for rng in rngs:
+            batch = cube.data[rng.integers(0, cube.n_pixels, size=cfg.batch_size)]
+            clean.append(batch)
+            noisy.append(corrupt(batch, cfg.corrupt_mask_frac, sigma, rng))
+            masks.append(net.dropout_mask(rng, (cfg.batch_size, k), cfg.hyper.dropout_p))
+        mask = None if masks[0] is None else np.stack(masks)
+        trace = net.forward_batch(model, np.stack(noisy), cfg.hyper, mode="train",
+                                  dropout_mask=mask)
+        m = trainer.BN_MOMENTUM
+        if it == 1:
+            model.run_mean, model.run_var = trace.bn_mean, trace.bn_var
+        else:
+            model.run_mean = m * model.run_mean + (1.0 - m) * trace.bn_mean
+            model.run_var = m * model.run_var + (1.0 - m) * trace.bn_var
+        _, grads = net.loss(trace, model, cfg.hyper, np.stack(clean))
+        adam_step(flat, np.concatenate([grads[name].reshape(r_count, -1) for name in params],
+                                       axis=1), state, cfg.lr, cfg.beta1)
+
+    for r, seed in enumerate(seeds):
+        solo, _ = train(cube, small_init, dataclasses.replace(cfg, seed=seed))
+        for name in ("w_enc", "rho", "w_dec", "run_mean", "run_var"):
+            assert np.array_equal(getattr(model, name)[r], getattr(solo, name)), (seed, name)
+
+
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
