@@ -54,7 +54,7 @@ MUTATIONS = [
              '            raise ValueError("top_n must lie in [1, k]")\n', "",
              ("tests/test_net.py::test_hyperparams_reject_a_top_n_below_one_when_made",)),
     Mutation("train skips check_k", "endnet/trainer.py",
-             "    cfg.hyper.check_k(init.k)\n", "",
+             "    cfg.hyper.check_k(model.k)\n", "",
              ("tests/test_trainer.py::test_train_checks_top_n_against_its_k",)),
     Mutation("_train_config skips check_k", "endnet/cli.py",
              "    cfg.hyper.check_k(args.k)\n", "",
@@ -66,7 +66,8 @@ MUTATIONS = [
              '        os.unlink(f"{path}.tmp")\n        raise', "        raise",
              ("tests/test_data_io.py::test_a_failed_write_leaves_the_old_file",)),
     Mutation("every repeat reuses args.seed", "endnet/cli.py",
-             "seed=args.seed + r)", "seed=args.seed)",
+             "seeds = range(args.seed, args.seed + args.repeats)",
+             "seeds = [args.seed] * args.repeats",
              ("tests/test_cli.py::test_eval_repeats_trains_run_r_with_seed_plus_r",)),
     Mutation("ENVI header read in the locale's codec", "endnet/data_io.py",
              'read_text(encoding="latin-1")', "read_text()",
@@ -204,6 +205,26 @@ MUTATIONS = [
              '                _lost_sum_to_one(x, "every variable was clamped")\n', "",
              ("tests/test_abundance.py::"
               "test_fcls_raises_when_a_pixel_far_off_scale_loses_the_sum_to_one_row",)),
+    Mutation("all replicas share one generator", "endnet/trainer.py",
+             "rngs = [np.random.default_rng(seed) for seed in seeds]",
+             "rngs = [np.random.default_rng(seeds[0])] * len(seeds)",
+             ("tests/test_trainer.py::test_three_seeds_in_lockstep_train_as_three_solo_runs",)),
+    Mutation("train_seeds takes any number of seeds", "endnet/trainer.py",
+             "    if len(inits) != len(seeds):\n"
+             '        raise ValueError(f"{len(inits)} inits for {len(seeds)} seeds")\n', "",
+             ("tests/test_trainer.py::test_train_seeds_takes_one_init_per_seed",)),
+    Mutation("every replica's log reads replica 0", "endnet/trainer.py",
+             "for r, log in enumerate(logs):", "for r, log in zip([0] * len(logs), logs):",
+             ("tests/test_trainer.py::test_three_seeds_in_lockstep_train_as_three_solo_runs",)),
+    Mutation("from_endmembers transposes all axes", "endnet/net.py",
+             "w_dec=e.swapaxes(-1, -2).copy())", "w_dec=e.T.copy())",
+             ("tests/test_net.py::"
+              "test_from_endmembers_seeds_each_replica_from_its_own_estimate",)),
+    Mutation("eval's hidden unmixing ignores cfg.hyper", "endnet/cli.py",
+             "method=args.method,\n"
+             "                                               hyper=cfg.hyper)",
+             "method=args.method)",
+             ("tests/test_cli.py::test_eval_repeats_hidden_unmixes_with_the_runs_own_top_n",)),
 ]
 
 

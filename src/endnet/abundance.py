@@ -259,15 +259,16 @@ def _lost_sum_to_one(x, how):
     raise RuntimeError(f"fcls lost the sum-to-one row: {how}")
 
 
-def hidden_abundances(model, cube: HyperCube):
+def hidden_abundances(model, cube: HyperCube, hyper=HyperParams()):
     """Encoder activations as abundances (one inference-mode forward of every pixel).
 
-    A checkpoint stores no HyperParams, so the defaults apply.  All-zero
+    ``hyper`` gives the top-n selection: the settings the model was trained
+    with, where the caller has them (a checkpoint stores none).  All-zero
     activation vectors fall back to uniform 1/K; the occurrence count is
     logged.  The encoder filters get the verdict of ``_check_endmembers``.
     """
     _check_endmembers(model.w_enc, "encoder filters")
-    trace = forward_batch(model, cube.data, HyperParams(), mode="infer")
+    trace = forward_batch(model, cube.data, hyper, mode="infer")
     y = trace.y.copy()
     dead = trace.z_star_sum <= 0.0
     n_dead = int(dead.sum())
@@ -284,13 +285,14 @@ def spu_abundances(endmembers, cube: HyperCube):
     return AbundanceMap(cube.height, cube.width, spu_sad(cube.data, endmembers))
 
 
-def estimate_abundances(model, cube: HyperCube, method="spu"):
-    """Dispatch abundance estimation; 'spu' (default) uses the decoder columns."""
+def estimate_abundances(model, cube: HyperCube, method="spu", hyper=HyperParams()):
+    """Dispatch abundance estimation; 'spu' (default) uses the decoder columns,
+    'hidden' the encoder under ``hyper``."""
     if cube.bands != model.d:
         raise ValueError(f"band count mismatch: the cube has {cube.bands} bands, "
                          f"the model {model.d}")
     if method == "spu":
         return spu_abundances(model.endmembers(), cube)
     if method == "hidden":
-        return hidden_abundances(model, cube)
+        return hidden_abundances(model, cube, hyper)
     raise ValueError(f"unknown abundance method {method!r}")

@@ -14,7 +14,7 @@ from .datatypes import SpectraMatrix, SynthSpec
 from .errors import (CubeFormatError, EndnetError, NonFiniteValue,
                      NumericalDivergence)
 from .net import EndNetModel, HyperParams
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train, train_seeds
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -50,15 +50,18 @@ def _load_input(args):
     return data_io.normalize_cube(data_io.load_cube(args.input))
 
 
-def _extract_once(args, cfg, cube):
-    init = (initializers.vca(cube, args.k, cfg.seed) if args.init == "vca"
-            else initializers.dmaxd(cube, args.k))
-    return train(cube, init, cfg)
+def _inits(args, cube, seeds):
+    """The --init seeding for each seed: vca draws with the seed; dmaxd draws
+    nothing, so it runs once and every seed shares its result."""
+    if args.init == "vca":
+        return [initializers.vca(cube, args.k, seed) for seed in seeds]
+    return [initializers.dmaxd(cube, args.k)] * len(seeds)
 
 
 def cmd_extract(args):
     cfg = _train_config(args)
-    model, log = _extract_once(args, cfg, _load_input(args))
+    cube = _load_input(args)
+    model, log = train(cube, _inits(args, cube, [cfg.seed])[0], cfg)
     prefix = Path(args.out_prefix)
     model.save(f"{prefix}.endn")
     log.write_csv(f"{prefix}_trainlog.csv")
@@ -107,12 +110,12 @@ def _eval_repeats(args):
     cube = _load_input(args)
     # a ground truth that no estimate could be scored against fails before training
     evaluation.check_ground_truth(args.k, cube.bands, gt, gt_ab, cube.n_pixels)
+    seeds = range(args.seed, args.seed + args.repeats)
     sads, rmses = [], []
-    for r in range(args.repeats):
-        model, _ = _extract_once(args, dataclasses.replace(cfg, seed=args.seed + r), cube)
+    for model, _ in train_seeds(cube, _inits(args, cube, seeds), cfg, seeds):
         est = SpectraMatrix(model.endmembers())
-        est_ab = abundance.estimate_abundances(model, cube, method=args.method) \
-            if gt_ab is not None else None
+        est_ab = abundance.estimate_abundances(model, cube, method=args.method,
+                                               hyper=cfg.hyper) if gt_ab is not None else None
         report = evaluation.evaluate(est, gt, est_ab, gt_ab, greedy=args.greedy)
         sads.append(report.per_endmember_sad)
         if report.per_endmember_rmse is not None:

@@ -104,9 +104,9 @@ class EndNetModel:
 
     @classmethod
     def from_endmembers(cls, endmembers):
-        """Seed both filter sets from a K x D endmember estimate; rho = 0."""
+        """Seed both filter sets from a (..., K, D) endmember estimate; rho = 0."""
         e = np.array(endmembers, dtype=np.float64)
-        return cls(w_enc=e.copy(), rho=np.zeros(e.shape[0]), w_dec=e.T.copy())
+        return cls(w_enc=e, rho=np.zeros(e.shape[:-1]), w_dec=e.swapaxes(-1, -2).copy())
 
     def endmembers(self):
         return self.w_dec.swapaxes(-1, -2).copy()

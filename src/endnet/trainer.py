@@ -142,43 +142,64 @@ def adam_step(params, grads, state, lr, beta1=TrainConfig.beta1):
 
 
 def _flat_params(model):
-    """Rebind the model's trainable arrays as views of one flat vector; returns it."""
+    """Rebind the trainable arrays of a model with one replica axis as views of
+    the columns of one (R, P) array, P parameters per replica; returns it."""
     params = model.params()
-    flat = np.concatenate([p.reshape(-1) for p in params.values()])
+    flat = np.concatenate([p.reshape(len(p), -1) for p in params.values()], axis=1)
     start = 0
     for name, p in params.items():
-        setattr(model, name, flat[start:start + p.size].reshape(p.shape))
-        start += p.size
+        size = p[0].size
+        setattr(model, name, flat[:, start:start + size].reshape(p.shape))
+        start += size
     return flat
 
 
 def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
     """Optimize a model on the cube's pixels; returns (model, TrainLog).
 
-    Bit-deterministic given (cube, init, cfg.seed): a single seeded RNG
-    drives batch sampling, corruption and dropout in a fixed order.  The
-    model's running batch-norm statistics start as iteration 1's batch
-    statistics and then move by ``BN_MOMENTUM``.  The log holds iteration
-    1, every ``LOG_EVERY``-th iteration and the last.
+    The one-replica case of ``train_seeds``, with seed ``cfg.seed``.
     """
-    cfg.hyper.check_k(init.k)
+    return train_seeds(cube, [init], cfg, [cfg.seed])[0]
+
+
+def train_seeds(cube: HyperCube, inits, cfg: TrainConfig, seeds):
+    """Train one model per (init, seed) pair in lockstep; returns a list of
+    (model, TrainLog), one per pair, in order.
+
+    The models are stacked on the replica axis of the layers, so an
+    iteration makes one forward, one loss and one Adam step for all of
+    them.  Each replica is bit for bit the run of its seed alone: it has its
+    own RNG, seeded with its seed, drawing batch indices, corruption and
+    dropout in that order (``cfg.seed`` is not read).  A model's running
+    batch-norm statistics start as iteration 1's batch statistics and then
+    move by ``BN_MOMENTUM``.  A log holds iteration 1, every
+    ``LOG_EVERY``-th iteration and the last.  A non-finite loss or gradient
+    in any replica stops every replica, naming the iteration.
+    """
+    if len(inits) != len(seeds):
+        raise ValueError(f"{len(inits)} inits for {len(seeds)} seeds")
     pixels = cube.data
     n = pixels.shape[0]
-    model = EndNetModel.from_endmembers(init.endmembers.rows)
+    model = EndNetModel.from_endmembers(np.stack([init.endmembers.rows for init in inits]))
+    cfg.hyper.check_k(model.k)
     flat = _flat_params(model)
     names = list(model.params())
     state = AdamState(flat)
-    rng = np.random.default_rng(cfg.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     sigma = cfg.corrupt_sigma
     if sigma is None:
         sigma = 0.1 * _noise_scale(pixels)
-    log = TrainLog()
+    logs = [TrainLog() for _ in rngs]
 
     for it in range(1, cfg.iters + 1):
-        idx = rng.integers(0, n, size=cfg.batch_size)
-        clean = pixels[idx]
-        noisy = corrupt(clean, cfg.corrupt_mask_frac, sigma, rng)
-        mask = dropout_mask(rng, (cfg.batch_size, model.k), cfg.hyper.dropout_p)
+        clean = np.empty((len(rngs), cfg.batch_size, pixels.shape[1]))
+        noisy = np.empty_like(clean)
+        masks = []
+        for r, rng in enumerate(rngs):
+            clean[r] = pixels[rng.integers(0, n, size=cfg.batch_size)]
+            noisy[r] = corrupt(clean[r], cfg.corrupt_mask_frac, sigma, rng)
+            masks.append(dropout_mask(rng, (cfg.batch_size, model.k), cfg.hyper.dropout_p))
+        mask = None if masks[0] is None else np.stack(masks)
         trace = forward_batch(model, noisy, cfg.hyper, mode="train", dropout_mask=mask)
         if it == 1:
             model.run_mean, model.run_var = trace.bn_mean, trace.bn_var
@@ -187,14 +208,16 @@ def train(cube: HyperCube, init: InitResult, cfg: TrainConfig):
             model.run_var = BN_MOMENTUM * model.run_var + (1.0 - BN_MOMENTUM) * trace.bn_var
         try:
             parts, grads = loss(trace, model, cfg.hyper, clean)
-            adam_step(flat, np.concatenate([grads[k].reshape(-1) for k in names]),
-                      state, cfg.lr, cfg.beta1)
+            adam_step(flat, np.concatenate([grads[k].reshape(len(flat), -1) for k in names],
+                                           axis=1), state, cfg.lr, cfg.beta1)
         except NumericalDivergence as exc:
             raise NumericalDivergence(f"iteration {it}: {exc}") from exc
 
         if it == 1 or it % LOG_EVERY == 0 or it == cfg.iters:
-            mean_z = float(trace.z.sum(axis=1).mean())
-            mean_sad = float(np.mean(np.pi * (1.0 - parts.c_recon)))
-            log.rows.append((it, float(parts.total), mean_z, mean_sad))
+            for r, log in enumerate(logs):
+                log.rows.append((it, float(parts.total[r]), float(trace.z[r].sum(axis=1).mean()),
+                                 float(np.mean(np.pi * (1.0 - parts.c_recon[r])))))
 
-    return model, log
+    return [(EndNetModel(model.w_enc[r], model.rho[r], model.w_dec[r],
+                         model.run_mean[r], model.run_var[r]), log)
+            for r, log in enumerate(logs)]

@@ -12,7 +12,7 @@ import pytest
 
 import endnet
 from endnet import (AbundanceMap, EndNetModel, HyperParams, SynthSpec, TrainConfig, cli,
-                    data_io)
+                    data_io, evaluation)
 from endnet.cli import _train_config, build_parser, main
 from endnet.data_io import load_abundance_csv, load_spectra_csv
 
@@ -175,18 +175,38 @@ def test_eval_repeats(scene_dir, tmp_path, capsys):
 def test_eval_repeats_trains_run_r_with_seed_plus_r(scene_dir, tmp_path, monkeypatch):
     seeds = []
 
-    def spy(cube, init, cfg):
-        seeds.append(cfg.seed)
-        return train(cube, init, cfg)
+    def spy(cube, inits, cfg, run_seeds):
+        seeds.extend(run_seeds)
+        return train_seeds(cube, inits, cfg, run_seeds)
 
-    train = cli.train
-    monkeypatch.setattr(cli, "train", spy)
+    train_seeds = cli.train_seeds
+    monkeypatch.setattr(cli, "train_seeds", spy)
     rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
                "--gt-spectra", str(scene_dir / "endmembers.csv"), "--k", "3",
                "--repeats", "3", "--iters", "150", "--batch", "16", "--seed", "4",
                "--out-prefix", str(tmp_path / "rep")])
     assert rc == 0
     assert seeds == [4, 5, 6]
+
+
+def test_eval_repeats_hidden_unmixes_with_the_runs_own_top_n(scene_dir, tmp_path, monkeypatch):
+    # the estimate handed to evaluate keeps the run's 3 nonzeros in some row,
+    # not the default HyperParams' 2
+    scored = []
+    evaluate = evaluation.evaluate
+
+    def spy(est, gt, est_ab, gt_ab, **kwargs):
+        scored.append(est_ab.values)
+        return evaluate(est, gt, est_ab, gt_ab, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate", spy)
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
+               "--gt-spectra", str(scene_dir / "endmembers.csv"),
+               "--gt-abund", str(scene_dir / "abundances.csv"), "--method", "hidden",
+               "--k", "3", "--top-n", "3", "--repeats", "2", *_FAST_TRAIN,
+               "--out-prefix", str(tmp_path / "rep")])
+    assert rc == 0
+    assert [(values > 0.0).sum(axis=1).max() for values in scored] == [3, 3]
 
 
 def test_eval_repeats_without_abundances_leaves_the_rmse_columns_empty(scene_dir, tmp_path):
@@ -220,7 +240,7 @@ def test_eval_repeats_rejects_the_ground_truth_before_training(
     def untrained(*args):
         raise AssertionError("train must not run")
 
-    monkeypatch.setattr(cli, "train", untrained)
+    monkeypatch.setattr(cli, "train_seeds", untrained)
     gt = tmp_path / "gt.csv"
     np.savetxt(gt, np.full((gt_rows, gt_bands), 0.5), delimiter=",")
     abund = []
@@ -389,6 +409,19 @@ def test_exit_code_divergence(scene_dir, tmp_path, capsys):
                "--out-prefix", str(tmp_path / "x")])
     assert rc == 3
     assert "iteration" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_repeats_divergence_is_one_error_line(scene_dir, tmp_path, capsys):
+    # the seeds train in lockstep: the first diverging iteration stops them all
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"),
+               "--gt-spectra", str(scene_dir / "endmembers.csv"), "--k", "3",
+               "--repeats", "3", "--iters", "50", "--lr", "1e200",
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: iteration ")
+    assert not (tmp_path / "x_repeats.csv").exists()
 
 
 def test_help_lists_defaults(capsys):

@@ -721,6 +721,18 @@ def test_from_endmembers_seeds_both_sets():
     np.testing.assert_array_equal(model.endmembers(), e)
 
 
+def test_from_endmembers_seeds_each_replica_from_its_own_estimate():
+    e = np.arange(24.0).reshape(2, 3, 4) + 1.0
+    model = EndNetModel.from_endmembers(e)
+    assert model.replicas == (2,) and model.rho.shape == (2, 3)
+    for r in range(2):
+        np.testing.assert_array_equal(model.w_enc[r], e[r])
+        np.testing.assert_array_equal(model.w_dec[r], e[r].T)
+    np.testing.assert_array_equal(model.endmembers(), e)
+    model.w_enc += 1.0
+    np.testing.assert_array_equal(model.endmembers(), e)  # w_enc is a copy
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(15)
     model = _toy_model(rng)

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chisquare
 
 from endnet import (EndNetModel, HyperParams, TrainConfig, adam_step, corrupt, net,
-                    train, trainer)
+                    train, train_seeds, trainer, vca)
 from endnet.errors import NumericalDivergence
 from endnet.trainer import AdamState
 
@@ -241,32 +241,33 @@ def test_train_log_csv(small_scene, small_init, tmp_path, monkeypatch):
 
 
 def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkeypatch):
+    # train is one replica of the lockstep loop: the spies read replica 0
     cube, _, _ = small_scene
     seen = []
     real_forward, real_loss = trainer.forward_batch, trainer.loss
 
     def forward_spy(model, X, *args, **kwargs):
-        seen.append(np.array(X))
+        seen.append(np.array(X[0]))
         return real_forward(model, X, *args, **kwargs)
 
     def loss_spy(trace, model, hyper, target):
         parts, grads = real_loss(trace, model, hyper, target)
-        seen.append((parts, np.array(target)))
+        seen.append((parts.x_hat[0], np.array(target[0])))
         return parts, grads
 
     monkeypatch.setattr(trainer, "forward_batch", forward_spy)
     monkeypatch.setattr(trainer, "loss", loss_spy)
     _, log = train(cube, small_init, TrainConfig(iters=1, seed=0, corrupt_sigma=0.5))
-    noisy, (parts, clean) = seen
+    noisy, (x_hat, clean) = seen
     assert not np.array_equal(noisy, clean)
 
-    live = np.linalg.norm(parts.x_hat, axis=1) > 0.0
+    live = np.linalg.norm(x_hat, axis=1) > 0.0
 
     def mean_angle(X):
         # a dead (all-zero) reconstruction has similarity 0, i.e. angle pi
-        x, x_hat = X[live], parts.x_hat[live]
-        cos = np.einsum("ij,ij->i", x, x_hat) / (
-            np.linalg.norm(x, axis=1) * np.linalg.norm(x_hat, axis=1))
+        x, x_hat_live = X[live], x_hat[live]
+        cos = np.einsum("ij,ij->i", x, x_hat_live) / (
+            np.linalg.norm(x, axis=1) * np.linalg.norm(x_hat_live, axis=1))
         s = np.arccos(np.clip(cos, -1.0 + 1e-7, 1.0 - 1e-7))
         return float((s.sum() + np.pi * (~live).sum()) / live.size)
 
@@ -277,14 +278,17 @@ def test_train_log_recon_sad_against_clean_batch(small_scene, small_init, monkey
 def test_train_keeps_the_first_batch_statistics_then_their_momentum_average(
         small_scene, small_init, monkeypatch):
     # kills dropping iteration 1's copy, which would average the batch
-    # statistics into a new model's zeros and ones, and swapping the weights
+    # statistics into a new model's zeros and ones, and swapping the weights;
+    # train is one replica of the lockstep loop, so the spy keeps replica 0
     cube, _, _ = small_scene
     traces = []
     real_forward = trainer.forward_batch
 
     def forward_spy(*args, **kwargs):
-        traces.append(real_forward(*args, **kwargs))
-        return traces[-1]
+        trace = real_forward(*args, **kwargs)
+        traces.append(dataclasses.replace(trace, bn_mean=trace.bn_mean[0],
+                                          bn_var=trace.bn_var[0]))
+        return trace
 
     monkeypatch.setattr(trainer, "forward_batch", forward_spy)
     model, _ = train(cube, small_init, TrainConfig(iters=1, seed=0))
@@ -300,55 +304,36 @@ def test_train_keeps_the_first_batch_statistics_then_their_momentum_average(
     assert np.array_equal(model.run_var, m * first.bn_var + (1.0 - m) * second.bn_var)
 
 
-@pytest.mark.parametrize("hyper", [{}, {"dropout_p": 0.5}], ids=["default", "dropout"])
-def test_three_seeds_in_lockstep_train_as_three_solo_runs(small_scene, small_init, hyper):
-    """Seeds 0-2 stacked on the replica axis, each with its own generator
-    drawing in solo order, train bit for bit as three solo ``train`` runs:
-    corruption, one stacked forward and loss, Adam on one (R, P) array and
-    the running statistics, for three iterations."""
+@pytest.mark.parametrize("hyper, init", [
+    ({}, "dmaxd"), ({"dropout_p": 0.5}, "dmaxd"), ({"dropout_p": 0.5, "top_n": 3}, "vca")],
+    ids=["default", "dropout", "vca-per-seed"])
+def test_three_seeds_in_lockstep_train_as_three_solo_runs(
+        small_scene, small_init, monkeypatch, hyper, init):
+    """``train_seeds`` for seeds 0-2 gives each replica the arrays and the
+    log rows of a solo ``train`` of its seed and init, bit for bit: with and
+    without dropout, and from per-seed ``vca`` inits that differ."""
     cube, _, _ = small_scene
-    seeds = (0, 1, 2)
-    cfg = TrainConfig(iters=3, hyper=HyperParams(**hyper))
-    e = small_init.endmembers.rows
-    r_count, k = len(seeds), e.shape[0]
-    model = EndNetModel(np.stack([e] * r_count), np.zeros((r_count, k)),
-                        np.stack([e.T] * r_count))
-    params = model.params()
-    flat = np.concatenate([p.reshape(r_count, -1) for p in params.values()], axis=1)
-    start = 0
-    for name, p in params.items():  # each array a view of its columns of flat
-        size = p[0].size
-        setattr(model, name, flat[:, start:start + size].reshape(p.shape))
-        assert np.shares_memory(getattr(model, name), flat)
-        start += size
-    state = AdamState(flat)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    sigma = 0.1 * trainer._noise_scale(cube.data)
-
-    for it in range(1, cfg.iters + 1):
-        clean, noisy, masks = [], [], []
-        for rng in rngs:
-            batch = cube.data[rng.integers(0, cube.n_pixels, size=cfg.batch_size)]
-            clean.append(batch)
-            noisy.append(corrupt(batch, cfg.corrupt_mask_frac, sigma, rng))
-            masks.append(net.dropout_mask(rng, (cfg.batch_size, k), cfg.hyper.dropout_p))
-        mask = None if masks[0] is None else np.stack(masks)
-        trace = net.forward_batch(model, np.stack(noisy), cfg.hyper, mode="train",
-                                  dropout_mask=mask)
-        m = trainer.BN_MOMENTUM
-        if it == 1:
-            model.run_mean, model.run_var = trace.bn_mean, trace.bn_var
-        else:
-            model.run_mean = m * model.run_mean + (1.0 - m) * trace.bn_mean
-            model.run_var = m * model.run_var + (1.0 - m) * trace.bn_var
-        _, grads = net.loss(trace, model, cfg.hyper, np.stack(clean))
-        adam_step(flat, np.concatenate([grads[name].reshape(r_count, -1) for name in params],
-                                       axis=1), state, cfg.lr, cfg.beta1)
-
-    for r, seed in enumerate(seeds):
-        solo, _ = train(cube, small_init, dataclasses.replace(cfg, seed=seed))
+    monkeypatch.setattr(trainer, "LOG_EVERY", 20)
+    seeds = [0, 1, 2]
+    cfg = TrainConfig(iters=50, batch_size=32, hyper=HyperParams(**hyper))
+    inits = ([small_init] * 3 if init == "dmaxd"
+             else [vca(cube, small_init.k, seed) for seed in seeds])
+    if init == "vca":
+        assert len({tuple(i.pixel_indices) for i in inits}) > 1
+    runs = train_seeds(cube, inits, cfg, seeds)
+    assert len(runs) == 3
+    for (model, log), seed, seed_init in zip(runs, seeds, inits):
+        solo, solo_log = train(cube, seed_init, dataclasses.replace(cfg, seed=seed))
         for name in ("w_enc", "rho", "w_dec", "run_mean", "run_var"):
-            assert np.array_equal(getattr(model, name)[r], getattr(solo, name)), (seed, name)
+            assert np.array_equal(getattr(model, name), getattr(solo, name)), (seed, name)
+        assert log.rows == solo_log.rows and len(log.rows) == 4, seed
+
+
+def test_train_seeds_takes_one_init_per_seed(small_scene, small_init):
+    # one seed would otherwise broadcast its batches against three models
+    cube, _, _ = small_scene
+    with pytest.raises(ValueError, match="^3 inits for 1 seeds$"):
+        train_seeds(cube, [small_init] * 3, TrainConfig(iters=1), [0])
 
 
 # --- configuration ----------------------------------------------------------
