@@ -225,6 +225,25 @@ MUTATIONS = [
              "                                               hyper=cfg.hyper)",
              "method=args.method)",
              ("tests/test_cli.py::test_eval_repeats_hidden_unmixes_with_the_runs_own_top_n",)),
+    Mutation("angle lets a zero-norm row through in paired mode", "endnet/net.py",
+             "    if not (a_norm.all() and b_norm.all()):\n",
+             "    if not (a_norm.all() and (paired or b_norm.all())):\n",
+             ("tests/test_net.py::test_sad_similarity_zero_norm",)),
+    Mutation("the loss marks no row dead", "endnet/net.py",
+             "alive = trace.z_star_sum > 0.0", "alive = trace.z_star_sum >= 0.0",
+             ("tests/test_trainer.py::"
+              "test_a_dropped_row_is_dead_and_the_loss_is_the_reference_step",)),
+    Mutation("checkpoint load takes a header with no endmember", "endnet/net.py",
+             "        if k < 1 or d < 1:\n", "        if d < 1:\n",
+             ("tests/test_cli.py::test_abundances_rejects_an_unsound_checkpoint",)),
+    Mutation("eval trains past --est-spectra", "endnet/cli.py",
+             "        if args.est_spectra or args.est_abund:\n",
+             "        if args.est_abund:\n",
+             ("tests/test_cli.py::test_eval_input_takes_no_estimate_before_any_file_is_read",)),
+    Mutation("forward_batch takes any mode", "endnet/net.py",
+             '    if mode not in ("train", "infer"):\n'
+             '        raise ValueError(f"unknown forward mode {mode!r}")\n', "",
+             ("tests/test_net.py::test_forward_batch_rejects_an_unknown_mode",)),
 ]
 
 

@@ -142,6 +142,9 @@ def cmd_eval(args):
     if args.repeats > 1 or args.input:
         if not args.input:
             raise ValueError("--repeats needs --input and training flags")
+        if args.est_spectra or args.est_abund:
+            raise ValueError("eval --input trains its own estimates; "
+                             "it takes no --est-spectra or --est-abund")
         return _eval_repeats(args)
     if not args.est_spectra:
         raise ValueError("need --est-spectra (or --input with --repeats)")

@@ -136,6 +136,8 @@ class EndNetModel:
         version, d, k = struct.unpack("<III", blob[4:16])
         if version != CHECKPOINT_VERSION:
             raise CubeFormatError(f"unsupported checkpoint version {version} in {path}")
+        if k < 1 or d < 1:
+            raise CubeFormatError(f"checkpoint {path} declares {k} endmembers and {d} bands")
         sizes = [k * d, k, k, k, d * k]
         if len(blob) != 16 + 8 * sum(sizes):
             raise CubeFormatError(f"checkpoint {path} holds {len(blob)} bytes, "
@@ -179,21 +181,19 @@ def angle(A, B, theta_clip, paired=False):
     ``paired=True`` takes row i of A with row i of B.  Leading replica axes
     of A and B broadcast: (..., N, D) against (..., K, D).  The cosine is
     clamped to +-(1 - theta_clip), where the angle still has a finite slope.
-    A zero-norm row of A is rejected in both modes, and so is one of B in
-    every-pair mode; paired mode gives a zero-norm row of B (a dead
-    reconstruction) the cosine 0.  Each product and norm is an ``einsum``
-    reduction over its own row, so a row's result does not depend on the
-    other rows in the call.
+    A zero-norm row of A or of B has no angle and is rejected in both modes.
+    Each product and norm is an ``einsum`` reduction over its own row, so a
+    row's result does not depend on the other rows in the call.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     a_norm = np.sqrt(np.einsum("...ij,...ij->...i", A, A))
     b_norm = np.sqrt(np.einsum("...ij,...ij->...i", B, B))
-    if not (a_norm.all() and (paired or b_norm.all())):
+    if not (a_norm.all() and b_norm.all()):
         raise ValueError("a zero-norm spectrum has no angle")
     if paired:
         dot = np.einsum("...ij,...ij->...i", A, B)
-        cos = dot / np.where(b_norm > 0.0, a_norm * b_norm, 1.0)
+        cos = dot / (a_norm * b_norm)
     else:
         dot = np.einsum("...nd,...kd->...nk", A, B)
         cos = dot / (a_norm[..., :, None] * b_norm[..., None, :])
@@ -211,9 +211,9 @@ def angle_backward(ang, d_c):
     # (dC/dS)(dS/dtheta) = (-1/pi)(-1/sqrt(1-theta^2))
     coef = np.where(ang.clipped, 0.0, d_c / (np.pi * np.sqrt(1.0 - ang.theta ** 2)))
     if ang.paired:
-        bn = np.where(ang.b_norm > 0.0, ang.b_norm, 1.0)
-        return coef[..., None] * (ang.a / (bn * ang.a_norm)[..., None]
-                                  - ang.b * (ang.dot / (bn ** 3 * ang.a_norm))[..., None])
+        an, bn = ang.a_norm, ang.b_norm
+        return coef[..., None] * (ang.a / (bn * an)[..., None]
+                                  - ang.b * (ang.dot / (bn ** 3 * an))[..., None])
     a = coef / (ang.a_norm[..., :, None] * ang.b_norm[..., None, :])
     b = coef * ang.dot / (ang.a_norm[..., :, None] * (ang.b_norm ** 3)[..., None, :])
     return a.swapaxes(-1, -2) @ ang.a - b.sum(axis=-2)[..., None] * ang.b
@@ -322,7 +322,10 @@ def forward_batch(model, X, hyper, mode="train", dropout_mask=None):
     The decoder runs in the loss, which is the only reader of its output.
     ``dropout_mask`` scales the gated activations, as the function of that
     name draws it; None, the default and the inference case, is no dropout.
+    ``mode`` is "train" (batch statistics) or "infer" (running statistics).
     """
+    if mode not in ("train", "infer"):
+        raise ValueError(f"unknown forward mode {mode!r}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[-1] != model.d:
         raise ValueError("band count mismatch between batch and model")
@@ -353,7 +356,7 @@ class LossParts(NamedTuple):
     sparsity: np.ndarray  # l1 activation penalty
     reg: np.ndarray       # the three weight decays
     x_hat: np.ndarray     # decoder output, N x D
-    c_recon: np.ndarray   # C(target, x_hat) per sample, 0 for a zero reconstruction
+    c_recon: np.ndarray   # C(target, x_hat) per sample, 0 for a dead row (no l1 mass)
 
 
 def loss_value(trace, model, hyper, target):
@@ -382,11 +385,12 @@ def _loss_impl(trace, model, hyper, target, want_grads):
     x_hat = trace.y @ model.w_dec.swapaxes(-1, -2)
     diff = x_hat - X_clean
 
-    # the angular term compares against the clean target; a zero
-    # reconstruction has similarity 0
-    recon_angle = angle(X_clean, x_hat, THETA_CLIP, paired=True)
-    ok = recon_angle.b_norm > 0.0
-    c = np.where(ok, recon_angle.similarity, 0.0)
+    # the angular term compares against the clean target.  A dead row (no l1 mass) reconstructs
+    # to zero, which has no angle: its target is compared with itself, where the clamp passes 0
+    alive = trace.z_star_sum > 0.0
+    recon_angle = angle(X_clean, np.where(alive[..., None], x_hat, X_clean), THETA_CLIP,
+                        paired=True)
+    c = np.where(alive, recon_angle.similarity, 0.0)
 
     recon = hyper.lambda0 * 0.5 * np.sum(diff * diff, axis=(-2, -1)) / n
     kl = hyper.lambda1 * (np.add.reduce(-np.log(c + EPS), axis=-1) / n)
@@ -402,7 +406,7 @@ def _loss_impl(trace, model, hyper, target, want_grads):
         return parts, None
 
     # d total / d x_hat: euclidean term + KL term through the angle chain
-    dkl_dc = np.where(ok, -hyper.lambda1 / (n * (c + EPS)), 0.0)
+    dkl_dc = np.where(alive, -hyper.lambda1 / (n * (c + EPS)), 0.0)
     d_xhat = hyper.lambda0 * diff / n + angle_backward(recon_angle, dkl_dc)
 
     d_wdec = d_xhat.swapaxes(-1, -2) @ trace.y + 2.0 * hyper.lambda4 * model.w_dec

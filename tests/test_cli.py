@@ -254,6 +254,29 @@ def test_eval_repeats_rejects_the_ground_truth_before_training(
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("repeats", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--est-spectra", "--est-abund"])
+def test_eval_input_takes_no_estimate_before_any_file_is_read(
+        scene_dir, tmp_path, capsys, monkeypatch, flag, repeats):
+    def untrained(*args):
+        raise AssertionError("train must not run")
+
+    def unread(path):
+        raise OSError(f"{path} must not be read")
+
+    monkeypatch.setattr(cli, "train_seeds", untrained)
+    for name in ("load_cube", "load_spectra_csv", "load_abundance_csv"):
+        monkeypatch.setattr(data_io, name, unread)
+    gt = str(scene_dir / "endmembers.csv")
+    rc = main(["eval", "--input", str(scene_dir / "cube.csv"), "--gt-spectra", gt, flag, gt,
+               "--k", "3", "--repeats", repeats, *_FAST_TRAIN,
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: eval --input trains its own estimates; it takes no --est-spectra or --est-abund"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_gradcheck_ok(capsys):
     rc = main(["gradcheck", "--trials", "3", "--seed", "0"])
     assert rc == 0
@@ -605,7 +628,14 @@ _CK_W_DEC = _CK_K * _CK_D + 3 * _CK_K  # payload index of w_dec[0, 0]
     pytest.param(_scaled(slice(0, _CK_D), 0.0), "zero-norm spectrum in checkpoint {}",
                  id="zero-w_enc-row"),
     pytest.param(_scaled(slice(_CK_W_DEC + 1, None, _CK_K), 0.0),
-                 "zero-norm spectrum in checkpoint {}", id="zero-w_dec-column")])
+                 "zero-norm spectrum in checkpoint {}", id="zero-w_dec-column"),
+    pytest.param(lambda b: b[:4] + struct.pack("<III", 1, _CK_D, 0),
+                 f"checkpoint {{}} declares 0 endmembers and {_CK_D} bands", id="no-endmember"),
+    pytest.param(lambda b: b[:4] + struct.pack("<III", 1, 0, 0),
+                 "checkpoint {} declares 0 endmembers and 0 bands", id="no-band"),
+    pytest.param(lambda b: b[:4] + struct.pack("<III", 1, 0, _CK_K) + b[16:16 + 24 * _CK_K],
+                 f"checkpoint {{}} declares {_CK_K} endmembers and 0 bands",
+                 id="no-band-three-endmembers")])
 def test_abundances_rejects_an_unsound_checkpoint(tmp_path, capsys, method, damage, message):
     rng = np.random.default_rng(0)
     good = tmp_path / "good.endn"

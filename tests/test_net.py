@@ -45,23 +45,18 @@ def test_sad_similarity_antipodal():
 
 
 def test_sad_similarity_zero_norm():
-    # a zero row of A has no angle in either mode; a zero row of B only in
-    # every-pair mode (paired mode gives it cosine 0, see below)
+    # a zero-norm row of A or of B has no angle, in either mode and on any
+    # replica; a dead reconstruction is the loss's to handle, not the kernel's
+    ok = np.array([[0.2, 0.4], [0.5, 0.1]])
     for paired in (False, True):
-        with pytest.raises(ValueError, match="zero-norm"):
-            _pair([0.0, 0.0], [1.0, 1.0], paired)
-        with pytest.raises(ValueError, match="zero-norm"):
-            _pair([[0.2, 0.4], [0.0, 0.0]], [[0.5, 0.1], [0.3, 0.3]], paired)
-    with pytest.raises(ValueError, match="zero-norm"):
-        _pair([1.0, 1.0], [0.0, 0.0])
-
-
-def test_angle_paired_zero_reconstruction():
-    # a dead reconstruction has cosine 0 and passes no gradient
-    ang = _pair([[0.2, 0.4], [0.5, 0.1]], [[0.0, 0.0], [0.3, 0.3]], paired=True)
-    assert ang.cos[0] == 0.0 and np.isfinite(ang.s).all()
-    g = angle_backward(ang, np.array([0.0, 1.0]))
-    assert np.isfinite(g).all() and (g[0] == 0.0).all()
+        _pair(ok, ok[::-1], paired)
+        for row in (0, 1):
+            zero = ok.copy()
+            zero[row] = 0.0
+            for A, B in ((zero, ok), (ok, zero), (ok, np.stack([ok, zero])),
+                         (np.stack([ok, zero]), ok)):
+                with pytest.raises(ValueError, match="^a zero-norm spectrum has no angle$"):
+                    _pair(A, B, paired)
 
 
 def test_angle_of_a_row_block_matches_those_rows_of_one_call():
@@ -345,6 +340,13 @@ def test_forward_batch_rejects_another_band_count():
     model = _toy_model(np.random.default_rng(10))
     with pytest.raises(ValueError, match="^band count mismatch between batch and model$"):
         forward_batch(model, np.ones((4, 11)), HyperParams(), mode="infer")
+
+
+@pytest.mark.parametrize("mode", ["Train", "eval", "", None])
+def test_forward_batch_rejects_an_unknown_mode(mode):
+    model = _toy_model(np.random.default_rng(10))
+    with pytest.raises(ValueError, match=f"^unknown forward mode {mode!r}$"):
+        forward_batch(model, np.ones((4, 12)), HyperParams(), mode=mode)
 
 
 def test_dropout_mask_scales_and_draws_nothing_at_p_one():

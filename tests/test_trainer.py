@@ -389,6 +389,15 @@ def _ref_angle(A, B, theta_clip, paired=False):
                      np.abs(cos) >= 1.0 - theta_clip, np.arccos(theta), paired)
 
 
+def _ref_paired_backward(rec, d_c):
+    """The reconstruction angle's backward under the reference's own dead-row
+    rule: a zero-norm row of x_hat passes nothing."""
+    coef = np.where(rec.clipped, 0.0, d_c / (np.pi * np.sqrt(1.0 - rec.theta ** 2)))
+    bn = np.where(rec.b_norm > 0.0, rec.b_norm, 1.0)
+    return coef[:, None] * (rec.a / (bn * rec.a_norm)[:, None]
+                            - rec.b * (rec.dot / (bn ** 3 * rec.a_norm))[:, None])
+
+
 def _ref_corrupt(x, mask_frac, sigma, rng):
     d = x.shape[1]
     max_m = int(np.floor(mask_frac * d))
@@ -441,7 +450,7 @@ def _reference_step(params, noisy, clean, r, hp):
            + hp.lambda5 * np.sum(rho ** 2))
     # backward
     dkl_dc = np.where(ok, -hp.lambda1 / (n * (c + net.EPS)), 0.0)
-    d_xhat = hp.lambda0 * diff / n + net.angle_backward(rec, dkl_dc)
+    d_xhat = hp.lambda0 * diff / n + _ref_paired_backward(rec, dkl_dc)
     d_y = d_xhat @ w_dec
     dz = net.l1norm_backward(d_y, z_star, y) + (hp.lambda2 / n) * (z > 0.0)
     d_bn = dz * r * (bn_out > 0.0)
@@ -541,3 +550,30 @@ def test_loss_parts_are_the_reference_terms(small_scene, small_init, replicas):
         ref = _reference_step({name: p[i] for name, p in params.items()}, noisy, clean, r, hp)
         for f in net.LossParts._fields:
             assert np.array_equal(getattr(parts, f)[i], ref[f]), (f, i)
+
+
+def test_a_dropped_row_is_dead_and_the_loss_is_the_reference_step(small_scene, small_init):
+    """A train-mode row whose dropout mask is all zero has no l1 mass, a zero
+    reconstruction and similarity 0; every LossParts field and gradient is the
+    reference step's, bit for bit."""
+    cube, _, _ = small_scene
+    rng = np.random.default_rng(29)
+    hp = HyperParams(dropout_p=0.5)
+    e = small_init.endmembers.rows
+    k, d = e.shape
+    clean = cube.data[rng.integers(0, cube.data.shape[0], size=16)]
+    noisy = corrupt(clean, 0.4, 0.05, rng)
+    r = np.full((16, k), 1.0 / hp.dropout_p)
+    r[5] = 0.0
+    params = {"w_enc": e + rng.normal(0.0, 0.01, (k, d)), "rho": rng.normal(0.0, 0.1, k),
+              "w_dec": e.T + rng.normal(0.0, 0.01, (d, k))}
+    model = EndNetModel(**params)
+    trace = net.forward_batch(model, noisy, hp, mode="train", dropout_mask=r)
+    parts, grads = net.loss(trace, model, hp, clean)
+    assert np.flatnonzero(trace.z_star_sum == 0.0).tolist() == [5]
+    assert parts.c_recon[5] == 0.0 and not parts.x_hat[5].any()
+    ref = _reference_step(params, noisy, clean, r, hp)
+    for f in net.LossParts._fields:
+        assert np.array_equal(getattr(parts, f), ref[f]), f
+    for name, g in grads.items():
+        assert np.array_equal(g, ref["grads"][name]), name
