@@ -59,6 +59,20 @@ def test_sad_similarity_zero_norm():
                     _pair(A, B, paired)
 
 
+def test_angle_paired_zero_reconstruction():
+    # a dead (all-zero) reconstruction gets no cosine 0 from the kernel: the
+    # paired angle rejects it, and no gradient is asked of it
+    target = np.array([[0.2, 0.4], [0.5, 0.1]])
+    recon = np.array([[0.0, 0.0], [0.3, 0.3]])
+    with pytest.raises(ValueError, match="^a zero-norm spectrum has no angle$"):
+        _pair(target, recon, paired=True)
+    # the live row alone still has its angle and a finite gradient
+    ang = _pair(target[1:], recon[1:], paired=True)
+    assert np.isfinite(ang.s).all() and not ang.clipped.any()
+    g = angle_backward(ang, np.array([1.0]))
+    assert np.isfinite(g).all() and g.shape == (1, 2)
+
+
 def test_angle_of_a_row_block_matches_those_rows_of_one_call():
     """A row's norm, product and angle do not depend on the other rows in the call."""
     A = np.random.default_rng(16).uniform(0.0, 1.0, (2 * 4096 + 3, 7))
