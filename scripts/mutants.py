@@ -78,23 +78,26 @@ MUTATIONS = [
              ("tests/test_contract.py::"
               "test_extract_exits_1_on_an_envi_payload_of_the_wrong_size",)),
     Mutation("FCLS memo key without the dtype", "endnet/abundance.py",
-             "es = _endmember_set(E.shape, E.dtype, E.tobytes())",
-             "es = _endmember_set(E.shape, np.dtype(np.float64), E.astype(np.float64).tobytes())",
+             "key = (E.tobytes(), E.shape, E.dtype)",
+             "key = (E.astype(np.float64).tobytes(), E.shape)",
              ("tests/test_abundance.py::test_fcls_keeps_float32_and_float64_endmembers_apart",)),
+    Mutation("FCLS memo key without the shape", "endnet/abundance.py",
+             "key = (E.tobytes(), E.shape, E.dtype)", "key = (E.tobytes(), E.dtype)",
+             ("tests/test_abundance.py::test_fcls_memo_keys_on_the_shape",)),
     Mutation("FCLS memo keyed on id(E)", "endnet/abundance.py",
-             "es = _endmember_set(E.shape, E.dtype, E.tobytes())",
-             "es = _endmember_set.__dict__.get(id(E)) or "
-             "_endmember_set.__dict__.setdefault(id(E), _EndmemberSet(E))",
+             "key = (E.tobytes(), E.shape, E.dtype)", "key = id(E)",
              ("tests/test_abundance.py::test_fcls_sees_endmembers_changed_in_place",)),
     Mutation("FCLS memo caches a failed set", "endnet/abundance.py",
-             "    es = _endmember_set(E.shape, E.dtype, E.tobytes())\n",
-             # the set is cached before its rank check runs, so only a miss checks
-             "    key = (E.shape, E.dtype, E.tobytes())\n"
-             "    if key not in _endmember_set.__dict__:\n"
-             "        _endmember_set.__dict__[key] = _EndmemberSet.__new__(_EndmemberSet)\n"
-             "        _endmember_set.__dict__[key].__init__(E)\n"
-             "    es = _endmember_set.__dict__[key]\n",
+             "        es = _EndmemberSet(np.ascontiguousarray(E))\n"
+             "        _last_set[0] = (key, es)\n",
+             # the set is kept before its rank check runs, so only a miss checks
+             "        es = _EndmemberSet.__new__(_EndmemberSet)\n"
+             "        _last_set[0] = (key, es)\n"
+             "        es.__init__(np.ascontiguousarray(E))\n",
              ("tests/test_abundance.py::test_fcls_checks_the_rank_of_every_endmember_set",)),
+    Mutation("fcls takes E @ x from its C-ordered 2E in every layout", "endnet/abundance.py",
+             "    if E.flags.c_contiguous:\n", "    if True:\n",
+             ("tests/test_abundance.py::test_fcls_keeps_the_bits_of_every_endmember_form",)),
     Mutation("FCLS iteration cap does not raise", "endnet/abundance.py",
              '    raise RuntimeError("fcls active-set iteration did not converge")\n', "",
              ("tests/test_abundance.py::test_fcls_raises_after_4k_plus_8_active_set_steps",)),
@@ -187,14 +190,12 @@ MUTATIONS = [
              ("tests/test_abundance.py::"
               "test_hidden_abundances_gives_bad_filters_the_endmember_verdict",)),
     Mutation("fcls with one endmember answers before the set build", "endnet/abundance.py",
-             "    es = _endmember_set(E.shape, E.dtype, E.tobytes())\n"
-             "    if k == 1:\n",
+             "    key = (E.tobytes(), E.shape, E.dtype)\n",
              "    if k == 1:\n"
              "        if not np.isfinite(x).all():\n"
              '            raise NonFiniteValue("pixel contains NaN/Inf values")\n'
              "        return np.array([1.0])\n"
-             "    es = _endmember_set(E.shape, E.dtype, E.tobytes())\n"
-             "    if k == 1:\n",
+             "    key = (E.tobytes(), E.shape, E.dtype)\n",
              ("tests/test_abundance.py::test_fcls_k1_between_larger_sets",)),
     Mutation("fcls divides by a zero kept mass", "endnet/abundance.py",
              "        if not 0.0 < total < math.inf:\n", "        if not math.isfinite(total):\n",
@@ -240,6 +241,11 @@ MUTATIONS = [
              "        if args.est_spectra or args.est_abund:\n",
              "        if args.est_abund:\n",
              ("tests/test_cli.py::test_eval_input_takes_no_estimate_before_any_file_is_read",)),
+    Mutation("eval scores one abundance file alone", "endnet/cli.py",
+             "    if bool(args.est_abund) != bool(args.gt_abund):\n",
+             "    if False:\n",
+             ("tests/test_cli.py::"
+              "test_eval_scores_abundances_only_in_pairs_before_any_file_is_read",)),
     Mutation("forward_batch takes any mode", "endnet/net.py",
              '    if mode not in ("train", "infer"):\n'
              '        raise ValueError(f"unknown forward mode {mode!r}")\n', "",

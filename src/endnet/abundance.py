@@ -12,7 +12,6 @@ SPU, linear independence for FCLS.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -150,10 +149,11 @@ def spu_sad(pixels, endmembers: SpectraMatrix, kernel="sad"):
 class _EndmemberSet:
     """The pixel-independent part of ``fcls`` for one K x D endmember matrix.
 
-    Holds the Gram matrix E E^T and, filled as the active-set iteration
-    first reaches each free set, that set's KKT system.  Constructing one
-    gives the endmembers the verdict of ``_check_endmembers`` and raises
-    DegenerateSimplex on linearly dependent ones.
+    Holds 2 E and 2 E E^T in float64 and, filled as the active-set
+    iteration first reaches each free set, that set's KKT system.
+    Constructing one gives the endmembers the verdict of
+    ``_check_endmembers`` and raises DegenerateSimplex on linearly
+    dependent ones.
     """
 
     def __init__(self, E):
@@ -162,14 +162,19 @@ class _EndmemberSet:
             raise DegenerateSimplex("endmembers are linearly dependent")
         self.k = E.shape[0]
         self.gram = E @ E.T
+        # doubling commutes with rounding short of subnormals and overflow, so
+        # (2E) @ x and (2G) @ a carry the bits of 2 (E @ x) and 2 (G @ a)
+        self.e2 = 2.0 * E.astype(np.float64)
+        self.gram2 = 2.0 * self.gram.astype(np.float64)
         self._systems = {}
 
     def system(self, free):
-        """(idx, rhs_rows, kkt, clamped) of the free set given as a bit mask.
+        """(idx, clamped, rhs_rows, kkt) of the free set given as a bit mask.
 
         ``idx`` and ``clamped`` are the free and clamped variables,
         ``rhs_rows`` picks the free rows and the sum-to-one row out of
-        [2 E x, 1], and ``kkt`` is the bordered matrix [[2 G_ff, 1], [1, 0]].
+        [2 E x, 1] (None for the full set, whose right-hand side is all of
+        it), and ``kkt`` is the bordered matrix [[2 G_ff, 1], [1, 0]].
         """
         found = self._systems.get(free)
         if found is None:
@@ -180,53 +185,68 @@ class _EndmemberSet:
             kkt[:m, :m] = 2.0 * self.gram[np.ix_(idx, idx)]
             kkt[:m, m] = 1.0
             kkt[m, :m] = 1.0
-            found = (idx, np.append(idx, self.k), kkt, np.flatnonzero(~mask))
+            clamped = np.flatnonzero(~mask)
+            rhs_rows = np.append(idx, self.k) if clamped.size else None
+            found = (idx, clamped, rhs_rows, kkt)
             self._systems[free] = found
         return found
 
 
-@functools.lru_cache(maxsize=1)  # fcls sees one endmember matrix per run of pixels
-def _endmember_set(shape, dtype, blob):
-    """The _EndmemberSet of the matrix of these bytes; a set that raises is not cached."""
-    return _EndmemberSet(np.frombuffer(blob, dtype).reshape(shape))
+# fcls's one-entry memo: ((bytes, shape, dtype), _EndmemberSet) of the last
+# endmember matrix it took, replaced whole by one assignment.  The key is
+# compared, not hashed: hashing its bytes cost each call four times as much.
+_last_set = [None]
 
 
 def fcls(pixel, endmembers):
     """Fully constrained least squares: min ||x - E^T a||^2, a >= 0, sum a = 1.
 
     Active-set iteration on the KKT system of the convex problem; returns
-    the global optimum.  The endmembers' verdict, the rank check, the Gram
-    matrix and the KKT matrix of each free set depend only on the
-    endmembers: they are kept for the last endmember matrix seen, so a run
-    of pixels unmixed against one matrix pays them once, and a pixel pays
-    ``E @ x`` and its solves.  One endmember admits only a = [1].  A NaN/Inf
-    pixel raises NonFiniteValue; a finite pixel so far off the endmembers'
-    scale that the solves lose the sum-to-one row raises RuntimeError, as
-    the ``4k + 8`` iteration cap does.
+    the global optimum.  The endmembers' verdict, the rank check, 2 E, the
+    Gram matrix and the KKT matrix of each free set depend only on the
+    endmembers: they are kept for the last endmember matrix seen, found
+    again when a call's matrix has the same bytes, shape and dtype, so a
+    run of pixels unmixed against one matrix pays them once, and a pixel
+    pays that comparison, ``(2E) @ x`` and its solves.  One endmember
+    admits only a = [1].  A NaN/Inf pixel raises NonFiniteValue; a finite
+    pixel so far off the endmembers' scale that the solves lose the
+    sum-to-one row raises RuntimeError, as the ``4k + 8`` iteration cap
+    does.
     """
-    E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else np.atleast_2d(endmembers)
+    E = endmembers.rows if isinstance(endmembers, SpectraMatrix) else endmembers
+    if type(E) is not np.ndarray or E.ndim != 2:
+        E = np.atleast_2d(E)
     k, _ = E.shape
     x = np.asarray(pixel, dtype=np.float64)
-    es = _endmember_set(E.shape, E.dtype, E.tobytes())
+    key = (E.tobytes(), E.shape, E.dtype)
+    last = _last_set[0]
+    if last is not None and last[0] == key:
+        es = last[1]
+    else:
+        # built from C-ordered values, as the key is: a hit gives the bits of a fresh build
+        es = _EndmemberSet(np.ascontiguousarray(E))
+        _last_set[0] = (key, es)
     if k == 1:
         # no solve, which far off the endmembers' scale can give [nan]
         if not np.isfinite(x).all():
             raise NonFiniteValue("pixel contains NaN/Inf values")
         return np.array([1.0])
-    gram = es.gram
-    ex = E @ x
     b = np.empty(k + 1)  # [2 E x, 1]: every free set's right-hand side is a pick of its rows
-    np.multiply(ex, 2.0, out=b[:k])
+    bk = b[:k]
+    if E.flags.c_contiguous:
+        np.matmul(es.e2, x, out=bk)
+    else:  # E @ x in the caller's layout, whose summation order sets the last bits
+        np.multiply(E @ x, 2.0, out=bk)
     b[k] = 1.0
 
     free = (1 << k) - 1  # bit j set: variable j is free
     for _ in range(4 * k + 8):
-        idx, rhs_rows, kkt, clamped = es.system(free)
+        idx, clamped, rhs_rows, kkt = es.system(free)
         # the LAPACK gufunc np.linalg.solve calls for a 1-D right-hand side,
         # so the bits are its bits without its per-call wrapper; no singular
         # check: the endmembers passed the rank check, so G_ff is positive
         # definite and [[2 G_ff, 1], [1, 0]] is nonsingular
-        sol = _solve1(kkt, b[rhs_rows], signature="dd->d")
+        sol = _solve1(kkt, b if rhs_rows is None else b[rhs_rows], signature="dd->d")
         a_free, lam = sol[:-1], sol[-1]
         j = int(a_free.argmin())
         if a_free[j] < -1e-12:
@@ -234,16 +254,20 @@ def fcls(pixel, endmembers):
             if not free:
                 _lost_sum_to_one(x, "every variable was clamped")
             continue
-        a = np.zeros(k)
-        a[idx] = np.maximum(a_free, 0.0)
         if clamped.size:
+            a = np.zeros(k)
+            a[idx] = np.maximum(a_free, 0.0)
             # KKT multipliers of the clamped variables must be nonnegative
-            mu = 2.0 * (gram @ a - ex) + lam
+            mu = es.gram2 @ a
+            mu -= bk
+            mu += lam
             j = int(mu[clamped].argmin())
             if mu[clamped[j]] < -1e-9:
                 free |= 1 << int(clamped[j])
                 continue
-        total = a.sum()
+        else:
+            a = np.maximum(a_free, 0.0)
+        total = np.add.reduce(a)
         if not 0.0 < total < math.inf:
             _lost_sum_to_one(x, f"the kept abundances sum to {total}")
         a /= total

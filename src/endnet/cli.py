@@ -148,6 +148,10 @@ def cmd_eval(args):
         return _eval_repeats(args)
     if not args.est_spectra:
         raise ValueError("need --est-spectra (or --input with --repeats)")
+    if bool(args.est_abund) != bool(args.gt_abund):
+        given, missing = (("--est-abund", "--gt-abund") if args.est_abund
+                          else ("--gt-abund", "--est-abund"))
+        raise ValueError(f"eval {given} needs {missing}: abundances are scored in pairs")
     return _eval_single(args)
 
 

@@ -350,6 +350,36 @@ def test_fcls_keeps_float32_and_float64_endmembers_apart():
         assert np.array_equal(fcls(x, E), want)
 
 
+def test_fcls_memo_keys_on_the_shape():
+    # one buffer of 24 floats read as 4 x 6 and as 3 x 8 endmembers: the same
+    # bytes and dtype, so only the shape tells the two sets apart
+    buf = np.random.default_rng(17).uniform(0.05, 1.0, 24)
+    E46, E38 = buf.reshape(4, 6), buf.reshape(3, 8)
+    for order in ((E46, E38), (E38, E46)):
+        for E in order:
+            x = E.mean(axis=0) + 0.05
+            assert np.array_equal(fcls(x, E), _fcls_per_pixel_reference(x, E))
+
+
+def test_fcls_keeps_the_bits_of_every_endmember_form():
+    # each form fcls takes gives the reference's bits computed on that form:
+    # E @ x follows the caller's layout (a Fortran-ordered or strided matrix
+    # sums in another order than a C-ordered one), the Gram matrix the
+    # matrix's values.  Below 32 bands a strided matrix's Gram matrix has the
+    # bits of its C-ordered copy, so the reference on the form itself applies.
+    E = _random_endmembers(4, 20, 18)
+    wide = np.zeros((4, 40))
+    wide[:, 1::2] = E
+    forms = {"SpectraMatrix": SpectraMatrix(E), "list": E.tolist(),
+             "Fortran": np.asfortranarray(E), "strided": wide[:, 1::2],
+             "float32": E.astype(np.float32)}
+    rng = np.random.default_rng(18)
+    pixels = rng.dirichlet(np.full(4, 0.5), 50) @ E + rng.normal(0.0, 0.1, (50, 20))
+    for name, form in forms.items():
+        for x in pixels:
+            assert np.array_equal(fcls(x, form), _fcls_per_pixel_reference(x, form)), name
+
+
 def test_fcls_k1_between_larger_sets():
     # one endmember admits only a = [1], once it has passed the verdict of
     # every endmember set: a zero row raises, as it does at k >= 2

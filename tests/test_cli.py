@@ -277,6 +277,24 @@ def test_eval_input_takes_no_estimate_before_any_file_is_read(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("given, missing", [("--est-abund", "--gt-abund"),
+                                            ("--gt-abund", "--est-abund")])
+def test_eval_scores_abundances_only_in_pairs_before_any_file_is_read(
+        scene_dir, tmp_path, capsys, monkeypatch, given, missing):
+    def unread(path):
+        raise OSError(f"{path} must not be read")
+
+    for name in ("load_spectra_csv", "load_abundance_csv"):
+        monkeypatch.setattr(data_io, name, unread)
+    truth = str(scene_dir / "endmembers.csv")
+    rc = main(["eval", "--est-spectra", truth, "--gt-spectra", truth,
+               given, str(scene_dir / "abundances.csv"), "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: eval {given} needs {missing}: abundances are scored in pairs"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_gradcheck_ok(capsys):
     rc = main(["gradcheck", "--trials", "3", "--seed", "0"])
     assert rc == 0

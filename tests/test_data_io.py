@@ -411,7 +411,7 @@ def test_only_write_file_writes_files():
 
 def test_no_global_statements():
     # module state a function rebinds is shared by every caller; a cache
-    # belongs in functools
+    # replaces its entry whole in one assignment (abundance._last_set)
     found = []
     for path in sorted(Path(endnet.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
