@@ -95,9 +95,18 @@ MUTATIONS = [
              "        _last_set[0] = (key, es)\n"
              "        es.__init__(np.ascontiguousarray(E))\n",
              ("tests/test_abundance.py::test_fcls_checks_the_rank_of_every_endmember_set",)),
-    Mutation("fcls takes E @ x from its C-ordered 2E in every layout", "endnet/abundance.py",
-             "    if E.flags.c_contiguous:\n", "    if True:\n",
-             ("tests/test_abundance.py::test_fcls_keeps_the_bits_of_every_endmember_form",)),
+    Mutation("fcls takes E @ x in the caller's layout", "endnet/abundance.py",
+             "    np.matmul(es.e2, x, out=bk)\n", "    np.multiply(E @ x, 2.0, out=bk)\n",
+             ("tests/test_abundance.py::"
+              "test_fcls_gives_every_endmember_form_the_bits_of_its_c_ordered_values",)),
+    Mutation("FCLS set built in the caller's layout", "endnet/abundance.py",
+             "        es = _EndmemberSet(np.ascontiguousarray(E))\n",
+             "        es = _EndmemberSet(E)\n",
+             ("tests/test_abundance.py::"
+              "test_fcls_gives_every_endmember_form_the_bits_of_its_c_ordered_values",)),
+    Mutation("FCLS memo grows a list instead of replacing its entry", "endnet/abundance.py",
+             "        _last_set[0] = (key, es)\n", "        _last_set.insert(0, (key, es))\n",
+             ("tests/test_data_io.py::test_no_global_statements",)),
     Mutation("FCLS iteration cap does not raise", "endnet/abundance.py",
              '    raise RuntimeError("fcls active-set iteration did not converge")\n', "",
              ("tests/test_abundance.py::test_fcls_raises_after_4k_plus_8_active_set_steps",)),

@@ -207,7 +207,9 @@ def fcls(pixel, endmembers):
     endmembers: they are kept for the last endmember matrix seen, found
     again when a call's matrix has the same bytes, shape and dtype, so a
     run of pixels unmixed against one matrix pays them once, and a pixel
-    pays that comparison, ``(2E) @ x`` and its solves.  One endmember
+    pays that comparison, ``(2E) @ x`` and its solves.  Both are taken on
+    E's C-ordered values, so a Fortran-ordered or strided E gives the bits
+    of its C-ordered copy.  One endmember
     admits only a = [1].  A NaN/Inf pixel raises NonFiniteValue; a finite
     pixel so far off the endmembers' scale that the solves lose the
     sum-to-one row raises RuntimeError, as the ``4k + 8`` iteration cap
@@ -223,7 +225,8 @@ def fcls(pixel, endmembers):
     if last is not None and last[0] == key:
         es = last[1]
     else:
-        # built from C-ordered values, as the key is: a hit gives the bits of a fresh build
+        # built from the C-ordered values the key holds, so the bits of the
+        # result depend on E's values alone, not on its memory layout
         es = _EndmemberSet(np.ascontiguousarray(E))
         _last_set[0] = (key, es)
     if k == 1:
@@ -233,10 +236,7 @@ def fcls(pixel, endmembers):
         return np.array([1.0])
     b = np.empty(k + 1)  # [2 E x, 1]: every free set's right-hand side is a pick of its rows
     bk = b[:k]
-    if E.flags.c_contiguous:
-        np.matmul(es.e2, x, out=bk)
-    else:  # E @ x in the caller's layout, whose summation order sets the last bits
-        np.multiply(E @ x, 2.0, out=bk)
+    np.matmul(es.e2, x, out=bk)
     b[k] = 1.0
 
     free = (1 << k) - 1  # bit j set: variable j is free

@@ -361,23 +361,26 @@ def test_fcls_memo_keys_on_the_shape():
             assert np.array_equal(fcls(x, E), _fcls_per_pixel_reference(x, E))
 
 
-def test_fcls_keeps_the_bits_of_every_endmember_form():
-    # each form fcls takes gives the reference's bits computed on that form:
-    # E @ x follows the caller's layout (a Fortran-ordered or strided matrix
-    # sums in another order than a C-ordered one), the Gram matrix the
-    # matrix's values.  Below 32 bands a strided matrix's Gram matrix has the
-    # bits of its C-ordered copy, so the reference on the form itself applies.
-    E = _random_endmembers(4, 20, 18)
-    wide = np.zeros((4, 40))
-    wide[:, 1::2] = E
-    forms = {"SpectraMatrix": SpectraMatrix(E), "list": E.tolist(),
-             "Fortran": np.asfortranarray(E), "strided": wide[:, 1::2],
-             "float32": E.astype(np.float32)}
-    rng = np.random.default_rng(18)
-    pixels = rng.dirichlet(np.full(4, 0.5), 50) @ E + rng.normal(0.0, 0.1, (50, 20))
-    for name, form in forms.items():
-        for x in pixels:
-            assert np.array_equal(fcls(x, form), _fcls_per_pixel_reference(x, form)), name
+def test_fcls_gives_every_endmember_form_the_bits_of_its_c_ordered_values():
+    # fcls takes E @ x and the Gram matrix on E's C-ordered values, so a
+    # Fortran-ordered or strided matrix, whose own products sum in another
+    # order (at 32 bands and more its Gram matrix too), has the bits of its
+    # C-ordered copy in every layout
+    for d in (20, 50, 162):
+        E = _random_endmembers(4, d, 18)
+        wide = np.zeros((4, 2 * d))
+        wide[:, 1::2] = E
+        forms = {"SpectraMatrix": SpectraMatrix(E), "list": E.tolist(),
+                 "Fortran": np.asfortranarray(E), "strided": wide[:, 1::2],
+                 "float32": E.astype(np.float32)}
+        rng = np.random.default_rng(18)
+        pixels = rng.dirichlet(np.full(4, 0.5), 30) @ E + rng.normal(0.0, 0.1, (30, d))
+        for name, form in forms.items():
+            values = np.ascontiguousarray(form.rows if name == "SpectraMatrix" else form)
+            fcls(pixels[0], 2.0 * E)  # each form builds its own set, not a hit on the last
+            for x in pixels:
+                assert np.array_equal(fcls(x, form), _fcls_per_pixel_reference(x, values)), \
+                    (d, name)
 
 
 def test_fcls_k1_between_larger_sets():

@@ -409,15 +409,43 @@ def test_only_write_file_writes_files():
     assert found == []
 
 
+_MUTATING_METHODS = {"append", "extend", "insert", "pop", "remove", "clear", "update",
+                     "setdefault", "add", "discard", "popitem", "sort", "reverse"}
+
+
+def _module_state_write(node, module_names):
+    """How ``node`` changes a module-level value in place, or None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr in _MUTATING_METHODS and isinstance(node.func.value, ast.Name):
+            return ast.unparse(node.func) if node.func.value.id in module_names else None
+        return None
+    targets = {ast.Assign: lambda n: n.targets, ast.Delete: lambda n: n.targets,
+               ast.AugAssign: lambda n: [n.target], ast.AnnAssign: lambda n: [n.target]}
+    for target in targets.get(type(node), lambda n: [])(node):
+        if (isinstance(target, (ast.Subscript, ast.Attribute))
+                and isinstance(target.value, ast.Name) and target.value.id in module_names):
+            return f"{ast.unparse(target)} {type(node).__name__}"
+    return None
+
+
 def test_no_global_statements():
-    # module state a function rebinds is shared by every caller; a cache
-    # replaces its entry whole in one assignment (abundance._last_set)
+    # module state a function changes is shared by every caller: no function
+    # rebinds a module name (a global statement) or changes a module value in
+    # place, except fcls's one-slot memo, whose entry is replaced whole in one
+    # assignment
     found = []
     for path in sorted(Path(endnet.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+        module_names = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                        for t in getattr(n, "targets", [getattr(n, "target", None)])
+                        if isinstance(t, ast.Name)}
+        found += [(path.name, "global") for node in ast.walk(tree)
                   if isinstance(node, ast.Global)]
-    assert found == []
+        found += [(path.name, what)
+                  for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func)
+                  if (what := _module_state_write(node, module_names))]
+    assert found == [("abundance.py", "_last_set[0] Assign")]
 
 
 def test_abundance_map_invariants():
